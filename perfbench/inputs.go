@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mat"
@@ -202,30 +203,41 @@ func basesMain(ids []string) error {
 	return generateBases(config{Dir: benchDir}, ids)
 }
 
+// generateBases builds the given cases concurrently: the generator is
+// single-threaded, and the large cases take about a minute each.
 func generateBases(cfg config, ids []string) error {
-	for _, s := range ids {
-		id, err := strconv.Atoi(s)
-		if err != nil {
-			return err
-		}
-		spec := baseCase(id, cfg.Tiny)
-		fmt.Fprintf(os.Stderr, "perfbench: generating base model case %d (n=%d, p=%d)\n", id, spec.N, spec.P)
-		m, err := statespace.CachedCase(spec, baseDir(cfg))
-		if err != nil {
-			return err
-		}
-		rep, err := passivity.Characterize(m, passivity.Options{Core: core.Options{Threads: jobThreads}})
-		if err != nil {
-			return err
-		}
-		if err := passivity.VerifyBySampling(m, rep, 0); err != nil {
-			return fmt.Errorf("case %d reference fails the sampling check: %w", id, err)
-		}
-		if err := writeJSON(baseRefPath(cfg, spec), inputs{Refs: []reference{refFromReport(rep)}}); err != nil {
-			return err
-		}
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, s := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = generateBase(cfg, s)
+		}()
 	}
-	return nil
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+func generateBase(cfg config, idText string) error {
+	id, err := strconv.Atoi(idText)
+	if err != nil {
+		return err
+	}
+	spec := baseCase(id, cfg.Tiny)
+	fmt.Fprintf(os.Stderr, "perfbench: generating base model case %d (n=%d, p=%d)\n", id, spec.N, spec.P)
+	m, err := statespace.CachedCase(spec, baseDir(cfg))
+	if err != nil {
+		return err
+	}
+	rep, err := passivity.Characterize(m, passivity.Options{Core: core.Options{Threads: jobThreads}})
+	if err != nil {
+		return err
+	}
+	if err := passivity.VerifyBySampling(m, rep, 0); err != nil {
+		return fmt.Errorf("case %d reference fails the sampling check: %w", id, err)
+	}
+	return writeJSON(baseRefPath(cfg, spec), inputs{Refs: []reference{refFromReport(rep)}})
 }
 
 // inputDir is where one workload seed's inputs live.
@@ -303,8 +315,7 @@ func permutePorts(m *statespace.Model, perm []int) *statespace.Model {
 // and its reference report. The base case's reference was checked with
 // passivity.VerifyBySampling when the base was generated; a permuted
 // model has the same σ(jω) at every frequency, so its reference is
-// checked against the verified base instead: the same crossings to 1e-9
-// relative, and the same band classes.
+// checked against the verified base instead (samePassivity).
 func buildChar(cfg config, w *workload, dir string) (*inputs, error) {
 	m, err := buildPermuted(cfg, w, dir)
 	if err != nil {
