@@ -271,7 +271,7 @@ func (tr *tracer) replay(m *statespace.Model, cks []core.Checkpoint, parent int)
 		}
 	}
 	tr.addSpan(parent, "replay", t0, time.Now(), map[string]float64{"shifts": float64(st.shifts)})
-	tr.layer["hamiltonian.factor_count"] = float64(st.factorN)
+	tr.layer["hamiltonian.factor_count"] = float64(st.shifts)
 	tr.layer["hamiltonian.factor_s"] = st.factorS
 	tr.layer["hamiltonian.solve_count"] = float64(st.solveN)
 	tr.layer["hamiltonian.solve_s"] = st.solveS
@@ -285,10 +285,9 @@ func (tr *tracer) replay(m *statespace.Model, cks []core.Checkpoint, parent int)
 }
 
 type replayStats struct {
-	shifts, restarts, mismatches int
-	factorN, solveN              int
-	factorS, solveS, baseS       float64
-	sweepS                       float64
+	// shifts counts replayed shifts, each factored once.
+	shifts, restarts, mismatches, solveN int
+	factorS, solveS, baseS, sweepS       float64
 }
 
 // Solver defaults the replay reproduces (core.Options.Alpha and Seed).
@@ -348,7 +347,6 @@ func (tr *tracer) replayShift(op *hamiltonian.Op, iv core.IntervalCheckpoint, ou
 	}
 	t2 := time.Now()
 	st.shifts++
-	st.factorN++
 	st.factorS += t1.Sub(t0).Seconds()
 	st.solveN += solveN
 	st.solveS += solveS
