@@ -77,26 +77,70 @@ func (c *Config) setDefaults() {
 // locked subspace and no Krylov direction remains.
 var ErrBreakdownEmpty = errors.New("arnoldi: start vector fully deflated")
 
-// Factorization holds the result of one Arnoldi sweep: an orthonormal basis
+// scalar is the field a Krylov basis lives in: complex128 on the full 2n
+// path, float64 on the half-size reciprocal path (real.go).
+type scalar interface{ float64 | complex128 }
+
+// lane is what the factorization loop and the SingleShift driver need from
+// one scalar field. Everything else — MGS with selective
+// reorthogonalization, the breakdown test, the StopEarly check, Ritz
+// extraction and the whole certification logic — is written once over
+// it. complexLane and realLane are the two implementations; each method is
+// a whole-vector call, so the hot loop calls the same mat kernels as a loop
+// written out for one field.
+type lane[T scalar] interface {
+	dim() int
+	apply(y, x []T) error
+	// randomStart draws a deterministic random unit start vector.
+	randomStart(rng *rand.Rand) []T
+	// projSub, norm2 and scale are the BLAS-1 kernels of the MGS loop;
+	// projSub returns the projection coefficient widened to complex for
+	// the Hessenberg.
+	projSub(u, w []T) complex128
+	norm2(w []T) float64
+	scale(a float64, w []T)
+	// lift accumulates x += y·v, mapping a basis vector into a Ritz vector.
+	lift(x []complex128, y complex128, v []T)
+	// lock appends the directions of a converged Ritz vector to locked.
+	lock(locked [][]T, x []complex128) [][]T
+	// restartDirection maps an unconverged Ritz vector to a start vector.
+	restartDirection(x []complex128) []T
+	// baseResidual is ‖Op·x − λ·x‖ on the non-inverted operator when the
+	// wrapped inverter can apply it, 0 otherwise; x has unit norm.
+	baseResidual(lambda complex128, x []complex128) float64
+}
+
+// Factorization holds the result of one Arnoldi sweep over complex
+// vectors.
+type Factorization = factorization[complex128]
+
+// factorization holds the result of one Arnoldi sweep: an orthonormal basis
 // V of the Krylov space (deflated against the locked vectors), the
-// projected Hessenberg matrix H (dim steps×steps), the next-vector coupling
+// projected Hessenberg matrix H (dim steps×steps, complex even for a real
+// basis so Ritz extraction is shared), the next-vector coupling
 // hNext = h_{d+1,d}, and whether an invariant subspace was hit (lucky
 // breakdown: the Ritz values are then exact for the deflated operator).
-type Factorization struct {
+type factorization[T scalar] struct {
 	Steps     int
-	V         [][]complex128
+	V         [][]T
 	H         *mat.CDense
 	HNext     float64
 	Invariant bool
 	OpApplies int
+	lane      lane[T]
 }
 
 // Run performs one Arnoldi factorization of op with the given start vector,
 // orthogonalizing every basis vector against locked (modified Gram-Schmidt
 // with one reorthogonalization pass).
 func Run(op Operator, start []complex128, locked [][]complex128, cfg Config) (*Factorization, error) {
+	return run[complex128](complexLane{op}, start, locked, cfg)
+}
+
+// run is Run over either lane.
+func run[T scalar](l lane[T], start []T, locked [][]T, cfg Config) (*factorization[T], error) {
 	cfg.setDefaults()
-	n := op.Dim()
+	n := l.dim()
 	if len(start) != n {
 		panic(fmt.Sprintf("arnoldi: start vector length %d, want %d", len(start), n))
 	}
@@ -107,42 +151,43 @@ func Run(op Operator, start []complex128, locked [][]complex128, cfg Config) (*F
 	if d <= 0 {
 		return nil, ErrBreakdownEmpty
 	}
-	v0 := mat.CCopy(start)
-	orthogonalize(v0, locked)
-	nrm := mat.CNorm2(v0)
+	v0 := make([]T, n)
+	copy(v0, start)
+	orthogonalize(l, v0, locked)
+	nrm := l.norm2(v0)
 	if nrm < 1e-300 {
 		return nil, ErrBreakdownEmpty
 	}
-	mat.CScaleVec(complex(1/nrm, 0), v0)
+	l.scale(1/nrm, v0)
 
-	v := make([][]complex128, 0, d+1)
+	v := make([][]T, 0, d+1)
 	v = append(v, v0)
 	h := mat.NewCDense(d, d)
-	w := make([]complex128, n)
-	fac := &Factorization{}
+	w := make([]T, n)
+	fac := &factorization[T]{lane: l}
 	for j := 0; j < d; j++ {
-		if err := op.Apply(w, v[j]); err != nil {
+		if err := l.apply(w, v[j]); err != nil {
 			return nil, err
 		}
 		fac.OpApplies++
-		wNormBefore := mat.CNorm2(w)
+		wNormBefore := l.norm2(w)
 		// Deflate against locked, then MGS against the basis (fused
 		// project-and-subtract kernel).
-		orthogonalize(w, locked)
+		orthogonalize(l, w, locked)
 		for i := 0; i <= j; i++ {
-			h.Set(i, j, mat.CProjSub(v[i], w))
+			h.Set(i, j, l.projSub(v[i], w))
 		}
 		// Selective reorthogonalization (Kahan–Parlett "twice is enough"
 		// criterion): a second pass is only needed when cancellation ate a
 		// substantial part of the vector.
-		if mat.CNorm2(w) < 0.5*wNormBefore {
-			orthogonalize(w, locked)
+		if l.norm2(w) < 0.5*wNormBefore {
+			orthogonalize(l, w, locked)
 			for i := 0; i <= j; i++ {
-				c := mat.CProjSub(v[i], w)
+				c := l.projSub(v[i], w)
 				h.Set(i, j, h.At(i, j)+c)
 			}
 		}
-		hn := mat.CNorm2(w)
+		hn := l.norm2(w)
 		fac.Steps = j + 1
 		// Relative breakdown test against the column norm of H.
 		var colScale float64
@@ -158,42 +203,45 @@ func Run(op Operator, start []complex128, locked [][]complex128, cfg Config) (*F
 		// Periodic early-exit check on the projected problem.
 		if cfg.StopEarly != nil && cfg.CheckEvery > 0 && (j+1)%cfg.CheckEvery == 0 && j+1 < d {
 			k := j + 1
-			hk := mat.NewCDense(k, k)
-			for a := 0; a < k; a++ {
-				for b := 0; b < k; b++ {
-					hk.Set(a, b, h.At(a, b))
-				}
-			}
-			if cfg.StopEarly(hk, hn, k) {
-				next := mat.CCopy(w)
-				mat.CScaleVec(complex(1/hn, 0), next)
-				v = append(v, next)
+			if cfg.StopEarly(leading(h, k), hn, k) {
+				v = append(v, nextBasis(l, w, hn))
 				break
 			}
 		}
 		if j+1 < d {
 			h.Set(j+1, j, complex(hn, 0))
 		}
-		next := mat.CCopy(w)
-		mat.CScaleVec(complex(1/hn, 0), next)
-		v = append(v, next)
+		v = append(v, nextBasis(l, w, hn))
 	}
 	fac.V = v
-	// Trim H to the achieved size.
-	k := fac.Steps
+	fac.H = leading(h, fac.Steps)
+	return fac, nil
+}
+
+// leading copies the leading k×k block of h.
+func leading(h *mat.CDense, k int) *mat.CDense {
 	hk := mat.NewCDense(k, k)
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			hk.Set(i, j, h.At(i, j))
 		}
 	}
-	fac.H = hk
-	return fac, nil
+	return hk
+}
+
+// nextBasis returns w/hn as a fresh basis vector.
+func nextBasis[T scalar](l lane[T], w []T, hn float64) []T {
+	next := make([]T, len(w))
+	copy(next, w)
+	l.scale(1/hn, next)
+	return next
 }
 
 // RitzPairs extracts the Ritz pairs of the factorization: eigenpairs of the
-// projected H lifted back through the basis.
-func (f *Factorization) RitzPairs() ([]RitzPair, error) {
+// projected H lifted back through the basis. For a real basis the Ritz
+// values come in conjugate pairs with conjugate vectors and identical
+// residuals.
+func (f *factorization[T]) RitzPairs() ([]RitzPair, error) {
 	k := f.Steps
 	if k == 0 {
 		return nil, nil
@@ -205,17 +253,13 @@ func (f *Factorization) RitzPairs() ([]RitzPair, error) {
 	n := len(f.V[0])
 	out := make([]RitzPair, k)
 	for idx := 0; idx < k; idx++ {
-		y := make([]complex128, k)
-		for i := 0; i < k; i++ {
-			y[i] = vecs.At(i, idx)
-		}
-		res := f.HNext * cmplx.Abs(y[k-1])
+		res := f.HNext * cmplx.Abs(vecs.At(k-1, idx))
 		if f.Invariant {
 			res = 0
 		}
 		x := make([]complex128, n)
 		for i := 0; i < k; i++ {
-			mat.CAxpy(y[i], f.V[i], x)
+			f.lane.lift(x, vecs.At(i, idx), f.V[i])
 		}
 		out[idx] = RitzPair{Value: vals[idx], Residual: res, Vector: x}
 	}
@@ -223,10 +267,61 @@ func (f *Factorization) RitzPairs() ([]RitzPair, error) {
 }
 
 // orthogonalize removes the components of w along each (unit) vector in q.
-func orthogonalize(w []complex128, q [][]complex128) {
+func orthogonalize[T scalar](l lane[T], w []T, q [][]T) {
 	for _, u := range q {
-		mat.CProjSub(u, w)
+		l.projSub(u, w)
 	}
+}
+
+// complexLane runs the iteration on C^n: the full 2n Hamiltonian path and
+// the plain ω_max estimate.
+type complexLane struct{ op Operator }
+
+func (l complexLane) dim() int                      { return l.op.Dim() }
+func (l complexLane) apply(y, x []complex128) error { return l.op.Apply(y, x) }
+func (l complexLane) randomStart(rng *rand.Rand) []complex128 {
+	return RandomStart(rng, l.op.Dim())
+}
+func (complexLane) projSub(u, w []complex128) complex128 { return mat.CProjSub(u, w) }
+func (complexLane) norm2(w []complex128) float64         { return mat.CNorm2(w) }
+func (complexLane) scale(a float64, w []complex128)      { mat.CScaleVec(complex(a, 0), w) }
+func (complexLane) lift(x []complex128, y complex128, v []complex128) {
+	mat.CAxpy(y, v, x)
+}
+func (complexLane) lock(locked [][]complex128, x []complex128) [][]complex128 {
+	return append(locked, normalized(x))
+}
+func (complexLane) restartDirection(x []complex128) []complex128 { return x }
+
+func (l complexLane) baseResidual(lambda complex128, x []complex128) float64 {
+	bo, ok := l.op.(BaseOperator)
+	if !ok {
+		return 0
+	}
+	y := make([]complex128, len(x))
+	if err := bo.ApplyBase(y, x); err != nil {
+		return 0
+	}
+	mat.CAxpy(-lambda, x, y)
+	return mat.CNorm2(y)
+}
+
+// normalized returns a unit-norm copy of v.
+func normalized(v []complex128) []complex128 {
+	out := make([]complex128, len(v))
+	copy(out, v)
+	var ss float64
+	for _, z := range out {
+		ss += real(z)*real(z) + imag(z)*imag(z)
+	}
+	n := math.Sqrt(ss)
+	if n > 0 {
+		inv := complex(1/n, 0)
+		for i := range out {
+			out[i] *= inv
+		}
+	}
+	return out
 }
 
 // newRng builds a deterministic source for restart vectors.

@@ -265,28 +265,102 @@ func TestLargestMagnitude(t *testing.T) {
 	}
 }
 
-func TestSingleShiftFindsClosestEigenvalues(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := 40
-	a := randomCMat(rng, n)
-	theta := complex(0.3, -0.2)
+// denseRealShiftInv is a dense (A − τI)⁻¹ for a real A and real τ, the
+// reference RealShiftInverter.
+type denseRealShiftInv struct {
+	a   *mat.Dense
+	f   *mat.LU
+	tau float64
+}
+
+func newDenseRealShiftInv(t *testing.T, a *mat.Dense, tau float64) *denseRealShiftInv {
+	t.Helper()
+	s := a.Clone()
+	for i := 0; i < a.Rows; i++ {
+		s.Set(i, i, s.At(i, i)-tau)
+	}
+	f, err := mat.LUFactor(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &denseRealShiftInv{a: a, f: f, tau: tau}
+}
+
+func (d *denseRealShiftInv) Dim() int          { return d.a.Rows }
+func (d *denseRealShiftInv) Theta() complex128 { return complex(d.tau, 0) }
+func (d *denseRealShiftInv) Apply(y, x []float64) error {
+	copy(y, d.f.Solve(x))
+	return nil
+}
+
+// shiftInputs lists the certified-disk problems a test runs: a complex
+// matrix through the complex lane, or a real matrix (with conjugate
+// eigenvalue pairs) at a real shift through both lanes — the complex lane
+// on the promoted matrix and the real lane on the matrix itself.
+type shiftInput struct {
+	name  string
+	a     *mat.CDense // dense reference operator
+	theta complex128
+	solve func(rho0 float64, params SingleShiftParams) (*SingleShiftResult, error)
+}
+
+func complexInput(t *testing.T, a *mat.CDense, theta complex128) []shiftInput {
 	inv := newDenseShiftInv(t, a, theta)
-	res, err := SingleShift(inv, 0.5, SingleShiftParams{NWanted: 4, MaxDim: 25, Seed: 7})
+	return []shiftInput{{"complex", a, theta, func(rho0 float64, p SingleShiftParams) (*SingleShiftResult, error) {
+		return SingleShift(inv, rho0, p)
+	}}}
+}
+
+func realInputs(t *testing.T, a *mat.Dense, tau float64) []shiftInput {
+	ac := a.ToComplex()
+	cinv := newDenseShiftInv(t, ac, complex(tau, 0))
+	rinv := newDenseRealShiftInv(t, a, tau)
+	return []shiftInput{
+		{"real-matrix/complex-lane", ac, complex(tau, 0), func(rho0 float64, p SingleShiftParams) (*SingleShiftResult, error) {
+			return SingleShift(cinv, rho0, p)
+		}},
+		{"real-matrix/real-lane", ac, complex(tau, 0), func(rho0 float64, p SingleShiftParams) (*SingleShiftResult, error) {
+			return SingleShiftReal(rinv, rho0, p)
+		}},
+	}
+}
+
+// randomRealMat is a dense real nonsymmetric matrix: its spectrum holds
+// both real eigenvalues and conjugate pairs.
+func randomRealMat(rng *rand.Rand, n int) *mat.Dense {
+	a := mat.NewDense(n, n)
+	for i := range a.Data {
+		a.Data[i] = rng.NormFloat64()
+	}
+	return a
+}
+
+// rotationBlocks is a real block-diagonal matrix with one 2×2 block
+// [[σ, ω], [−ω, σ]] per eigenvalue pair σ ± jω.
+func rotationBlocks(pairs []complex128) *mat.Dense {
+	a := mat.NewDense(2*len(pairs), 2*len(pairs))
+	for k, z := range pairs {
+		i := 2 * k
+		a.Set(i, i, real(z))
+		a.Set(i+1, i+1, real(z))
+		a.Set(i, i+1, imag(z))
+		a.Set(i+1, i, -imag(z))
+	}
+	return a
+}
+
+// checkCertifiedDisk asserts the S-operator contract against the dense
+// eigenvalues of in.a: every eigenvalue strictly inside the certified
+// radius is returned (completeness), and every returned value is an
+// eigenvalue (soundness).
+func checkCertifiedDisk(t *testing.T, in shiftInput, res *SingleShiftResult) {
+	t.Helper()
+	all, _, err := mat.CEig(in.a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: all eigenvalues sorted by distance from theta.
-	all, err := mat.CEigValues(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		return cmplx.Abs(all[i]-theta) < cmplx.Abs(all[j]-theta)
-	})
-	// Completeness within the certified disk: every true eigenvalue with
-	// |λ−θ| < Radius must appear in the result.
 	for _, v := range all {
-		if cmplx.Abs(v-theta) >= res.Radius {
+		if cmplx.Abs(v-in.theta) >= res.Radius {
 			continue
 		}
 		found := false
@@ -298,10 +372,9 @@ func TestSingleShiftFindsClosestEigenvalues(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("true eigenvalue %v (dist %g) inside certified disk ρ=%g missing",
-				v, cmplx.Abs(v-theta), res.Radius)
+				v, cmplx.Abs(v-in.theta), res.Radius)
 		}
 	}
-	// Soundness: every returned eigenvalue is a true eigenvalue.
 	for _, g := range res.Eigenvalues {
 		best := math.Inf(1)
 		for _, v := range all {
@@ -313,14 +386,30 @@ func TestSingleShiftFindsClosestEigenvalues(t *testing.T) {
 			t.Fatalf("returned eigenvalue %v is not in the spectrum (dist %g)", g, best)
 		}
 	}
-	if len(res.Eigenvalues) == 0 {
-		t.Fatal("no eigenvalues returned for a dense random matrix")
+}
+
+func TestSingleShiftFindsClosestEigenvalues(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	inputs := complexInput(t, randomCMat(rng, 40), complex(0.3, -0.2))
+	inputs = append(inputs, realInputs(t, randomRealMat(rng, 40), 0.3)...)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			res, err := in.solve(0.5, SingleShiftParams{NWanted: 4, MaxDim: 25, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCertifiedDisk(t, in, res)
+			if len(res.Eigenvalues) == 0 {
+				t.Fatal("no eigenvalues returned for a dense random matrix")
+			}
+		})
 	}
 }
 
 func TestSingleShiftRadiusShrinksWithManyEigenvalues(t *testing.T) {
 	// 100 eigenvalues uniformly in a ring around the shift: asking for 4
-	// must shrink the radius below the initial one.
+	// must shrink the radius below the initial one. The real input rings
+	// the shift with 50 conjugate pairs.
 	n := 100
 	d := mat.NewCDense(n, n)
 	rng := rand.New(rand.NewSource(8))
@@ -329,16 +418,25 @@ func TestSingleShiftRadiusShrinksWithManyEigenvalues(t *testing.T) {
 		r := 0.1 + 0.9*rng.Float64()
 		d.Set(i, i, cmplx.Rect(r, ang))
 	}
-	inv := newDenseShiftInv(t, d, 0)
-	res, err := SingleShift(inv, 1.0, SingleShiftParams{NWanted: 4, MaxDim: 30, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	pairs := make([]complex128, n/2)
+	for i := range pairs {
+		pairs[i] = cmplx.Rect(0.1+0.9*rng.Float64(), rng.Float64()*math.Pi)
 	}
-	if res.Radius >= 1.0 {
-		t.Fatalf("radius %g did not shrink below 1.0 with 100 enclosed eigenvalues", res.Radius)
-	}
-	if len(res.Eigenvalues) < 4 {
-		t.Fatalf("returned %d eigenvalues, want ≥ 4", len(res.Eigenvalues))
+	inputs := append(complexInput(t, d, 0), realInputs(t, rotationBlocks(pairs), 0)...)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			res, err := in.solve(1.0, SingleShiftParams{NWanted: 4, MaxDim: 30, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Radius >= 1.0 {
+				t.Fatalf("radius %g did not shrink below 1.0 with 100 enclosed eigenvalues", res.Radius)
+			}
+			if len(res.Eigenvalues) < 4 {
+				t.Fatalf("returned %d eigenvalues, want ≥ 4", len(res.Eigenvalues))
+			}
+			checkCertifiedDisk(t, in, res)
+		})
 	}
 }
 
@@ -346,40 +444,50 @@ func TestSingleShiftEmptyDisk(t *testing.T) {
 	// Spectrum far away from the shift: the result must be empty and the
 	// certified radius must not reach the nearest eigenvalue.
 	n := 20
-	d := mat.NewCDense(n, n)
+	d := mat.NewDense(n, n)
 	for i := 0; i < n; i++ {
-		d.Set(i, i, complex(10+float64(i), 0))
+		d.Set(i, i, 10+float64(i))
 	}
-	inv := newDenseShiftInv(t, d, complex(0, 0))
-	res, err := SingleShift(inv, 1.0, SingleShiftParams{NWanted: 4, MaxDim: 10, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range res.Eigenvalues {
-		if cmplx.Abs(g) < 10-1e-6 {
-			t.Fatalf("phantom eigenvalue %v", g)
-		}
-	}
-	if res.Radius < 1.0 {
-		t.Fatalf("radius %g shrank although the disk is empty", res.Radius)
+	for _, in := range append(complexInput(t, d.ToComplex(), 0), realInputs(t, d, 0)...) {
+		t.Run(in.name, func(t *testing.T) {
+			res, err := in.solve(1.0, SingleShiftParams{NWanted: 4, MaxDim: 10, Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range res.Eigenvalues {
+				if cmplx.Abs(g) < 10-1e-6 {
+					t.Fatalf("phantom eigenvalue %v", g)
+				}
+			}
+			if res.Radius < 1.0 {
+				t.Fatalf("radius %g shrank although the disk is empty", res.Radius)
+			}
+		})
 	}
 }
 
 func TestSingleShiftExhaustsSmallSpectrum(t *testing.T) {
 	// n smaller than the Krylov budget: everything converges; the radius
-	// should certify the full spectrum (Exhausted or large radius).
+	// should certify the full spectrum (Exhausted or large radius). The
+	// real input holds three conjugate pairs.
 	n := 6
 	d := mat.NewCDense(n, n)
 	for i := 0; i < n; i++ {
 		d.Set(i, i, complex(float64(i), float64(i)))
 	}
-	inv := newDenseShiftInv(t, d, complex(-1, -1))
-	res, err := SingleShift(inv, 20, SingleShiftParams{NWanted: 10, MaxDim: 12, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Eigenvalues) != n {
-		t.Fatalf("returned %d eigenvalues, want %d", len(res.Eigenvalues), n)
+	inputs := complexInput(t, d, complex(-1, -1))
+	inputs = append(inputs, realInputs(t, rotationBlocks([]complex128{1 + 1i, 2 + 3i, 4 + 0.5i}), -1)...)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			res, err := in.solve(20, SingleShiftParams{NWanted: 10, MaxDim: 12, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Eigenvalues) != n {
+				t.Fatalf("returned %d eigenvalues, want %d", len(res.Eigenvalues), n)
+			}
+			checkCertifiedDisk(t, in, res)
+		})
 	}
 }
 

@@ -1,31 +1,25 @@
 package arnoldi
 
 import (
-	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
-	"sort"
 
 	"repro/internal/mat"
 )
 
-// Real-arithmetic Arnoldi for the half-size Hamiltonian path. Every sweep
-// shift there is τ = −ω² — real — and the squared operator N is real, so
-// (N − τI)⁻¹ maps R^n to R^n and the whole Krylov iteration can run on
-// real vectors: half the memory traffic and half the flops per apply, MGS
-// projection and reorthogonalization compared to the complex path, which
-// on a real operator just carries a redundant second lane. Eigenvalues of
-// the projected (real) Hessenberg are still complex in general — they come
-// in conjugate pairs — so Ritz extraction promotes H to complex and reuses
-// mat.CEig, and deflation locks the real span {Re x, Im x} of each
-// converged complex Ritz vector, which removes both pair members from the
-// real iteration at once.
-//
-// The certification semantics of SingleShiftReal are those of SingleShift,
-// verbatim: same convergence test, disk-radius shrink/grow rules, ghost
-// purging, stagnation and exhaustion handling. Only the vector arithmetic
-// is real.
+// The real lane of the shift-invert Arnoldi, for the half-size Hamiltonian
+// path. Every sweep shift there is τ = −ω² — real — and the squared
+// operator N is real, so (N − τI)⁻¹ maps R^n to R^n and the Krylov basis
+// can be real: half the memory traffic and half the flops per apply, MGS
+// projection and reorthogonalization compared to the complex lane, whose
+// imaginary parts would carry nothing new on a real operator. SingleShiftReal
+// runs the same factorization loop and the same certification driver as
+// SingleShift; only the lane differs. Eigenvalues of the projected (real)
+// Hessenberg are still complex in general — they come in conjugate pairs —
+// so the Hessenberg is kept complex and Ritz extraction shares mat.CEig,
+// and deflation locks the real span {Re x, Im x} of each converged complex
+// Ritz vector, which removes both pair members from the real iteration at
+// once.
 
 // RealOperator is a linear operator on R^dim. Apply computes y = Op·x; x
 // and y are distinct slices of length Dim().
@@ -48,163 +42,25 @@ type RealBaseOperator interface {
 	ApplyBase(y, x []float64) error
 }
 
-// RealFactorization holds one real Arnoldi sweep: an orthonormal real
-// basis V, the projected Hessenberg H promoted to complex (so Ritz
-// extraction shares mat.CEig with the complex path), the next-vector
-// coupling hNext, and the invariant-subspace flag.
-type RealFactorization struct {
-	Steps     int
-	V         [][]float64
-	H         *mat.CDense
-	HNext     float64
-	Invariant bool
-	OpApplies int
+// SingleShiftReal runs the restarted, deflated shift-invert Arnoldi
+// iteration of SingleShift on a real operator, with identical parameters,
+// certification rules and result semantics. inv.Theta() must be real
+// (imaginary part zero); the returned Ritz values are complex as usual.
+func SingleShiftReal(inv RealShiftInverter, rho0 float64, params SingleShiftParams) (*SingleShiftResult, error) {
+	return singleShift[float64](realLane{inv}, inv.Theta(), rho0, params)
 }
 
-// RunReal performs one Arnoldi factorization of a real operator, mirroring
-// Run step for step: MGS with fused project-subtract, Kahan–Parlett
-// selective reorthogonalization, relative breakdown test, and the periodic
-// StopEarly check on the (promoted) projected problem.
-func RunReal(op RealOperator, start []float64, locked [][]float64, cfg Config) (*RealFactorization, error) {
-	cfg.setDefaults()
-	n := op.Dim()
-	if len(start) != n {
-		panic(fmt.Sprintf("arnoldi: start vector length %d, want %d", len(start), n))
-	}
-	d := cfg.MaxDim
-	if lim := n - len(locked); d > lim {
-		d = lim
-	}
-	if d <= 0 {
-		return nil, ErrBreakdownEmpty
-	}
-	v0 := make([]float64, n)
-	copy(v0, start)
-	orthogonalizeReal(v0, locked)
-	nrm := mat.Norm2(v0)
-	if nrm < 1e-300 {
-		return nil, ErrBreakdownEmpty
-	}
-	mat.ScaleVec(1/nrm, v0)
+// realLane runs the iteration on R^n.
+type realLane struct{ op RealOperator }
 
-	v := make([][]float64, 0, d+1)
-	v = append(v, v0)
-	h := mat.NewDense(d, d)
-	w := make([]float64, n)
-	fac := &RealFactorization{}
-	for j := 0; j < d; j++ {
-		if err := op.Apply(w, v[j]); err != nil {
-			return nil, err
-		}
-		fac.OpApplies++
-		wNormBefore := mat.Norm2(w)
-		// Deflate against locked, then MGS against the basis (fused
-		// project-and-subtract kernel).
-		orthogonalizeReal(w, locked)
-		for i := 0; i <= j; i++ {
-			h.Set(i, j, mat.ProjSub(v[i], w))
-		}
-		// Selective reorthogonalization (Kahan–Parlett "twice is enough"
-		// criterion): a second pass is only needed when cancellation ate a
-		// substantial part of the vector.
-		if mat.Norm2(w) < 0.5*wNormBefore {
-			orthogonalizeReal(w, locked)
-			for i := 0; i <= j; i++ {
-				c := mat.ProjSub(v[i], w)
-				h.Set(i, j, h.At(i, j)+c)
-			}
-		}
-		hn := mat.Norm2(w)
-		fac.Steps = j + 1
-		// Relative breakdown test against the column norm of H.
-		var colScale float64
-		for i := 0; i <= j; i++ {
-			colScale += math.Abs(h.At(i, j))
-		}
-		if hn <= 1e-12*(colScale+1e-300) {
-			fac.Invariant = true
-			fac.HNext = 0
-			break
-		}
-		fac.HNext = hn
-		// Periodic early-exit check on the projected problem.
-		if cfg.StopEarly != nil && cfg.CheckEvery > 0 && (j+1)%cfg.CheckEvery == 0 && j+1 < d {
-			k := j + 1
-			if cfg.StopEarly(promoteHessenberg(h, k), hn, k) {
-				next := make([]float64, n)
-				copy(next, w)
-				mat.ScaleVec(1/hn, next)
-				v = append(v, next)
-				break
-			}
-		}
-		if j+1 < d {
-			h.Set(j+1, j, hn)
-		}
-		next := make([]float64, n)
-		copy(next, w)
-		mat.ScaleVec(1/hn, next)
-		v = append(v, next)
-	}
-	fac.V = v
-	fac.H = promoteHessenberg(h, fac.Steps)
-	return fac, nil
-}
+func (l realLane) dim() int                        { return l.op.Dim() }
+func (l realLane) apply(y, x []float64) error      { return l.op.Apply(y, x) }
+func (realLane) projSub(u, w []float64) complex128 { return complex(mat.ProjSub(u, w), 0) }
+func (realLane) norm2(w []float64) float64         { return mat.Norm2(w) }
+func (realLane) scale(a float64, w []float64)      { mat.ScaleVec(a, w) }
 
-// promoteHessenberg copies the leading k×k block of a real Hessenberg into
-// a complex matrix for mat.CEig.
-func promoteHessenberg(h *mat.Dense, k int) *mat.CDense {
-	hk := mat.NewCDense(k, k)
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			hk.Set(i, j, complex(h.At(i, j), 0))
-		}
-	}
-	return hk
-}
-
-// RitzPairs extracts the Ritz pairs of the real factorization: complex
-// eigenpairs of the promoted H lifted through the real basis. Conjugate
-// Ritz values carry conjugate vectors and identical residuals.
-func (f *RealFactorization) RitzPairs() ([]RitzPair, error) {
-	k := f.Steps
-	if k == 0 {
-		return nil, nil
-	}
-	vals, vecs, err := mat.CEig(f.H)
-	if err != nil {
-		return nil, err
-	}
-	n := len(f.V[0])
-	out := make([]RitzPair, k)
-	for idx := 0; idx < k; idx++ {
-		res := f.HNext * cmplx.Abs(vecs.At(k-1, idx))
-		if f.Invariant {
-			res = 0
-		}
-		x := make([]complex128, n)
-		for i := 0; i < k; i++ {
-			yr, yi := real(vecs.At(i, idx)), imag(vecs.At(i, idx))
-			vi := f.V[i]
-			for a, va := range vi {
-				x[a] = complex(real(x[a])+yr*va, imag(x[a])+yi*va)
-			}
-		}
-		out[idx] = RitzPair{Value: vals[idx], Residual: res, Vector: x}
-	}
-	return out, nil
-}
-
-// orthogonalizeReal removes the components of w along each unit vector in q.
-func orthogonalizeReal(w []float64, q [][]float64) {
-	for _, u := range q {
-		mat.ProjSub(u, w)
-	}
-}
-
-// RandomStartReal fills a deterministic random real unit vector.
-func RandomStartReal(rng *rand.Rand, n int) []float64 {
-	v := make([]float64, n)
+func (l realLane) randomStart(rng *rand.Rand) []float64 {
+	v := make([]float64, l.op.Dim())
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
@@ -215,26 +71,25 @@ func RandomStartReal(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// lockRealSpan appends the orthonormalized real span {Re x, Im x} of a
+func (realLane) lift(x []complex128, y complex128, v []float64) {
+	yr, yi := real(y), imag(y)
+	for a, va := range v {
+		x[a] = complex(real(x[a])+yr*va, imag(x[a])+yi*va)
+	}
+}
+
+// lock appends the orthonormalized real span {Re x, Im x} of a
 // complex Ritz vector to the locked set. For a conjugate Ritz pair both
 // members share the same real span, so the second member's parts deflate
 // to (numerical) zero and are skipped — the pair costs two locked vectors
 // total, exactly the two complex vectors the full path would lock. Real
 // Ritz values (arbitrary complex phase) contribute one direction.
-func lockRealSpan(locked [][]float64, x []complex128) [][]float64 {
-	n := len(x)
-	for part := 0; part < 2; part++ {
-		v := make([]float64, n)
-		if part == 0 {
-			for i, z := range x {
-				v[i] = real(z)
-			}
-		} else {
-			for i, z := range x {
-				v[i] = imag(z)
-			}
+func (realLane) lock(locked [][]float64, x []complex128) [][]float64 {
+	xr, xi := splitParts(x)
+	for _, v := range [][]float64{xr, xi} {
+		for _, u := range locked {
+			mat.ProjSub(u, v)
 		}
-		orthogonalizeReal(v, locked)
 		// x has unit norm, so a genuinely new direction keeps O(1) mass;
 		// 1e-6 absolute separates that from deflation residue.
 		if nrm := mat.Norm2(v); nrm > 1e-6 {
@@ -245,261 +100,26 @@ func lockRealSpan(locked [][]float64, x []complex128) [][]float64 {
 	return locked
 }
 
-// realRestartDirection reduces a complex Ritz vector to a real restart
+// restartDirection reduces a complex Ritz vector to a real restart
 // direction: whichever of its real or imaginary part carries more mass
 // (deterministic, and nonzero whenever the vector is).
-func realRestartDirection(x []complex128) []float64 {
-	n := len(x)
-	vr := make([]float64, n)
-	vi := make([]float64, n)
-	for i, z := range x {
-		vr[i] = real(z)
-		vi[i] = imag(z)
-	}
+func (realLane) restartDirection(x []complex128) []float64 {
+	vr, vi := splitParts(x)
 	if mat.Norm2(vi) > mat.Norm2(vr) {
 		return vi
 	}
 	return vr
 }
 
-// SingleShiftReal runs the restarted, deflated shift-invert Arnoldi
-// iteration of SingleShift on a real operator, with identical parameters,
-// certification rules and result semantics. inv.Theta() must be real
-// (imaginary part zero); the returned Ritz values are complex as usual.
-func SingleShiftReal(inv RealShiftInverter, rho0 float64, params SingleShiftParams) (*SingleShiftResult, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	params.setDefaults()
-	theta := inv.Theta()
-	res := &SingleShiftResult{Theta: theta, Radius: rho0}
-	cfg := Config{MaxDim: params.MaxDim, Tol: params.Tol, Rng: newRng(params.Seed)}
-
-	type conv struct {
-		lambda complex128
-		dist   float64
-		residM float64
-	}
-	var converged []conv
-	var locked [][]float64
-	// dedupTol is relative to the local frequency scale.
-	scale := cmplx.Abs(theta) + rho0
-	if scale == 0 {
-		scale = 1
-	}
-	dedupTol := 1e-7 * scale
-
-	minUnconv := math.Inf(1)
-	stagnant := 0
-	var warmStart []float64
-	for restart := 0; restart < params.MaxRestarts; restart++ {
-		if params.Yield != nil && restart > 0 {
-			params.Yield()
-		}
-		res.Restarts++
-		start := RandomStartReal(cfg.Rng, inv.Dim())
-		if warmStart != nil {
-			// Explicit restart toward the closest unconverged Ritz vector,
-			// with a small random component to escape invariant traps.
-			for i := range start {
-				start[i] = warmStart[i] + 0.02*start[i]
-			}
-		}
-		// Early within-sweep exit: most of the sweep cost is basis
-		// orthogonalization, so stop as soon as the projected problem
-		// certifies NWanted eigenvalues (or certifies the initial disk
-		// empty once the subspace is rich enough).
-		convDists := make([]float64, len(converged))
-		for i, c := range converged {
-			convDists[i] = c.dist
-		}
-		cfg.CheckEvery = 10
-		cfg.StopEarly = func(h *mat.CDense, hNext float64, steps int) bool {
-			vals, vecs, err := mat.CEig(h)
-			if err != nil {
-				return false
-			}
-			minU := math.Inf(1)
-			var newConv []float64
-			for idx, mu := range vals {
-				if mu == 0 {
-					continue
-				}
-				dist := 1 / cmplx.Abs(mu)
-				resid := hNext * cmplx.Abs(vecs.At(steps-1, idx))
-				if resid <= params.Tol*cmplx.Abs(mu) {
-					newConv = append(newConv, dist)
-				} else if dist < minU {
-					minU = dist
-				}
-			}
-			certNow := 0.9 * minU
-			count := 0
-			for _, d := range convDists {
-				if d < certNow {
-					count++
-				}
-			}
-			for _, d := range newConv {
-				if d < certNow {
-					count++
-				}
-			}
-			if count >= params.NWanted {
-				return true
-			}
-			// Emptiness certification needs a richer subspace before the
-			// unconverged Ritz estimates can be trusted.
-			return steps >= 30 && certNow >= 1.05*rho0
-		}
-		fac, err := RunReal(inv, start, locked, cfg)
-		if err == ErrBreakdownEmpty {
-			res.Exhausted = true
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.OpApplies += fac.OpApplies
-		pairs, err := fac.RitzPairs()
-		if err != nil {
-			return nil, err
-		}
-		minUnconv = math.Inf(1)
-		newConv := 0
-		ghosts := 0
-		warmStart = nil
-		for _, p := range pairs {
-			if p.Value == 0 {
-				continue
-			}
-			lambda := theta + 1/p.Value
-			dist := 1 / cmplx.Abs(p.Value)
-			if p.Residual <= params.Tol*cmplx.Abs(p.Value) {
-				dup := false
-				for _, c := range converged {
-					if cmplx.Abs(c.lambda-lambda) <= dedupTol {
-						dup = true
-						break
-					}
-				}
-				// Lock the span either way: a duplicate is a numerical
-				// "ghost" of an already-locked direction (the locked Ritz
-				// vector is only tol-accurate); purging it keeps later
-				// sweeps exploring fresh directions.
-				locked = lockRealSpan(locked, p.Vector)
-				if !dup {
-					converged = append(converged, conv{
-						lambda: lambda,
-						dist:   dist,
-						residM: baseResidualReal(inv, lambda, p.Vector),
-					})
-					newConv++
-				} else {
-					ghosts++
-				}
-				continue
-			}
-			if dist < minUnconv {
-				minUnconv = dist
-				warmStart = realRestartDirection(p.Vector)
-			}
-		}
-		if fac.Invariant && newConv == 0 {
-			res.Exhausted = true
-			break
-		}
-		if newConv == 0 && ghosts == 0 {
-			stagnant++
-			if stagnant >= 3 {
-				break
-			}
-		} else {
-			stagnant = 0
-		}
-		// Early exit uses the same certification rule as the final radius:
-		// only eigenvalues closer than 0.9× the nearest unconverged Ritz
-		// estimate are certifiable. Stop when NWanted of them are, or when
-		// the certifiable region already covers the whole initial disk.
-		certNow := 0.9 * minUnconv
-		certCount := 0
-		for _, c := range converged {
-			if c.dist < certNow {
-				certCount++
-			}
-		}
-		if certCount >= params.NWanted {
-			break
-		}
-		if restart >= 1 && certNow >= rho0 {
-			break
-		}
-	}
-
-	sort.Slice(converged, func(i, j int) bool { return converged[i].dist < converged[j].dist })
-
-	// Certified radius: nothing unconverged may hide inside the disk.
-	certified := math.Inf(1)
-	if !math.IsInf(minUnconv, 1) {
-		certified = 0.9 * minUnconv
-	}
-	if res.Exhausted && math.IsInf(certified, 1) {
-		// Entire reachable spectrum resolved: certify everything seen.
-		certified = math.Inf(1)
-	}
-
-	rho := rho0
-	nw := params.NWanted
-	if len(converged) > nw {
-		// Shrink: enclose exactly NWanted, midway to the next one out.
-		rho = 0.5 * (converged[nw-1].dist + converged[nw].dist)
-	} else if len(converged) > 0 {
-		// Grow to the farthest converged eigenvalue (paper rule), bounded
-		// by certification.
-		far := converged[len(converged)-1].dist
-		if far > rho {
-			rho = far * (1 + 1e-9)
-		}
-	}
-	if rho > certified {
-		rho = certified
-	}
-	if math.IsInf(rho, 1) {
-		// Fully resolved spectrum: choose a radius covering all converged.
-		if len(converged) > 0 {
-			rho = converged[len(converged)-1].dist * (1 + 1e-9)
-			if rho < rho0 {
-				rho = rho0
-			}
-		} else {
-			rho = rho0
-		}
-	}
-	for _, c := range converged {
-		if c.dist <= rho {
-			res.Eigenvalues = append(res.Eigenvalues, c.lambda)
-			res.ResidualsM = append(res.ResidualsM, c.residM)
-		}
-	}
-	res.Radius = rho
-	return res, nil
-}
-
-// baseResidualReal computes ‖N·x − μ·x‖ for a complex Ritz pair of a real
-// operator via two real applies (N·Re x and N·Im x); x must have unit
-// norm. Returns 0 when the base operator is unavailable.
-func baseResidualReal(inv RealShiftInverter, mu complex128, x []complex128) float64 {
-	bo, ok := inv.(RealBaseOperator)
+// baseResidual computes ‖N·x − μ·x‖ for a complex Ritz pair of a real
+// operator via two real applies (N·Re x and N·Im x).
+func (l realLane) baseResidual(mu complex128, x []complex128) float64 {
+	bo, ok := l.op.(RealBaseOperator)
 	if !ok {
 		return 0
 	}
 	n := len(x)
-	xr := make([]float64, n)
-	xi := make([]float64, n)
-	for i, z := range x {
-		xr[i] = real(z)
-		xi[i] = imag(z)
-	}
+	xr, xi := splitParts(x)
 	yr := make([]float64, n)
 	yi := make([]float64, n)
 	if err := bo.ApplyBase(yr, xr); err != nil {
@@ -516,4 +136,15 @@ func baseResidualReal(inv RealShiftInverter, mu complex128, x []complex128) floa
 		ss += dr*dr + di*di
 	}
 	return math.Sqrt(ss)
+}
+
+// splitParts returns the real and imaginary parts of x as fresh vectors.
+func splitParts(x []complex128) (re, im []float64) {
+	re = make([]float64, len(x))
+	im = make([]float64, len(x))
+	for i, z := range x {
+		re[i] = real(z)
+		im[i] = imag(z)
+	}
+	return re, im
 }

@@ -91,7 +91,7 @@ type SingleShiftResult struct {
 }
 
 // ShiftInverter abstracts the per-shift factored operator (M − ϑI)⁻¹
-// (hamiltonian.ShiftOp satisfies it via an adapter in the caller).
+// (hamiltonian.ShiftOp satisfies it directly).
 type ShiftInverter interface {
 	Operator
 	Theta() complex128
@@ -116,11 +116,17 @@ type BaseOperator interface {
 //     to the nearest unconverged Ritz estimate, so that the returned set is
 //     complete within C_{ϑ,ρ}.
 func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*SingleShiftResult, error) {
+	return singleShift[complex128](complexLane{inv}, inv.Theta(), rho0, params)
+}
+
+// singleShift is the restart and certification driver shared by both
+// lanes: SingleShift and SingleShiftReal differ only in the lane, never in
+// the rules.
+func singleShift[T scalar](l lane[T], theta complex128, rho0 float64, params SingleShiftParams) (*SingleShiftResult, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	params.setDefaults()
-	theta := inv.Theta()
 	res := &SingleShiftResult{Theta: theta, Radius: rho0}
 	cfg := Config{MaxDim: params.MaxDim, Tol: params.Tol, Rng: newRng(params.Seed)}
 
@@ -130,7 +136,7 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 		residM float64
 	}
 	var converged []conv
-	var locked [][]complex128
+	var locked [][]T
 	// dedupTol is relative to the local frequency scale.
 	scale := cmplx.Abs(theta) + rho0
 	if scale == 0 {
@@ -140,13 +146,13 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 
 	minUnconv := math.Inf(1)
 	stagnant := 0
-	var warmStart []complex128
+	var warmStart []T
 	for restart := 0; restart < params.MaxRestarts; restart++ {
 		if params.Yield != nil && restart > 0 {
 			params.Yield()
 		}
 		res.Restarts++
-		start := RandomStart(cfg.Rng, inv.Dim())
+		start := l.randomStart(cfg.Rng)
 		if warmStart != nil {
 			// Explicit restart toward the closest unconverged Ritz vector,
 			// with a small random component to escape invariant traps.
@@ -201,7 +207,7 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 			// unconverged Ritz estimates can be trusted.
 			return steps >= 30 && certNow >= 1.05*rho0
 		}
-		fac, err := Run(inv, start, locked, cfg)
+		fac, err := run(l, start, locked, cfg)
 		if err == ErrBreakdownEmpty {
 			res.Exhausted = true
 			break
@@ -236,12 +242,12 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 				// "ghost" of an already-locked direction (the locked Ritz
 				// vector is only tol-accurate); purging it keeps later
 				// sweeps exploring fresh directions.
-				locked = append(locked, normalized(p.Vector))
+				locked = l.lock(locked, p.Vector)
 				if !dup {
 					converged = append(converged, conv{
 						lambda: lambda,
 						dist:   dist,
-						residM: baseResidual(inv, lambda, p.Vector),
+						residM: l.baseResidual(lambda, p.Vector),
 					})
 					newConv++
 				} else {
@@ -251,7 +257,7 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 			}
 			if dist < minUnconv {
 				minUnconv = dist
-				warmStart = p.Vector
+				warmStart = l.restartDirection(p.Vector)
 			}
 		}
 		if fac.Invariant && newConv == 0 {
@@ -332,36 +338,4 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 	}
 	res.Radius = rho
 	return res, nil
-}
-
-// baseResidual computes ‖M·x − λ·x‖ when the inverter can apply M; x must
-// have unit norm. Returns 0 when the base operator is unavailable.
-func baseResidual(inv ShiftInverter, lambda complex128, x []complex128) float64 {
-	bo, ok := inv.(BaseOperator)
-	if !ok {
-		return 0
-	}
-	y := make([]complex128, len(x))
-	if err := bo.ApplyBase(y, x); err != nil {
-		return 0
-	}
-	mat.CAxpy(-lambda, x, y)
-	return mat.CNorm2(y)
-}
-
-func normalized(v []complex128) []complex128 {
-	out := make([]complex128, len(v))
-	copy(out, v)
-	var ss float64
-	for _, z := range out {
-		ss += real(z)*real(z) + imag(z)*imag(z)
-	}
-	n := math.Sqrt(ss)
-	if n > 0 {
-		inv := complex(1/n, 0)
-		for i := range out {
-			out[i] *= inv
-		}
-	}
-	return out
 }

@@ -117,7 +117,8 @@ func (c *Client) runBatchChunk(ctx context.Context, phase string, fns []func(wor
 					// popped past live clients' work.
 					c.purgeBatch(b)
 				}
-				b.finishOne()
+				// Pool.execute calls b.finishOne after accounting the
+				// task, so the join never returns ahead of PhaseStats.
 			},
 			abort: func() {
 				b.fail(ErrPoolClosed)

@@ -75,7 +75,8 @@ type task struct {
 	// Batch task: run executes on a worker; abort is called instead when
 	// the pool closes with the task still queued (it must unblock the
 	// batch join); batch identifies siblings so a failed/canceled batch
-	// can purge its queued remainder.
+	// can purge its queued remainder, and is counted down by execute once
+	// the task's phase statistics are recorded.
 	run   func(worker int)
 	abort func()
 	batch *batch
@@ -331,6 +332,11 @@ func (p *Pool) execute(t *task, worker int) {
 	p.phase[t.phase] = s
 	t.client.busy += busy
 	p.mu.Unlock()
+	if t.batch != nil {
+		// Count the task down only now: RunBatch's join must not return
+		// before the task shows up in PhaseStats.
+		t.batch.finishOne()
+	}
 }
 
 // YieldInteractive runs queued interactive-class tasks to exhaustion on

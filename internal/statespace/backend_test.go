@@ -2,6 +2,7 @@ package statespace
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -196,64 +197,61 @@ func TestBackendDispatch(t *testing.T) {
 }
 
 // TestSquaredKernelEquivalence validates the half-size path's block-local
-// kernels against dense references: A² applies/solves, the [A·B | B] pair
-// apply, and the V·(A² − τI)⁻¹·[A·B | B] capacitance panels (single and
-// multi-shift, with the multi panels bit-identical to single calls).
+// real kernels against dense references: A² applies/solves at a real
+// shift, the [A·B | B] pair apply, and the V·(A² − τI)⁻¹·[A·B | B]
+// capacitance panels (single and multi-shift, with the multi panels
+// bit-identical to single calls).
 func TestSquaredKernelEquivalence(t *testing.T) {
 	const tol = 1e-12
 	rng := rand.New(rand.NewSource(23))
+	randVec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	// check compares real vectors through the complex helpers.
+	check := func(name string, got, want []float64) {
+		t.Helper()
+		g, w := realToComplex(got), realToComplex(want)
+		if d := maxAbsDiff(g, w); d > tol*vecScale(w) {
+			t.Fatalf("%s mismatch %g", name, d)
+		}
+	}
 	for p := 1; p <= 6; p++ {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 			m := randModel(rng, p)
 			n := m.Order()
-			a := m.DenseA().ToComplex()
+			a := m.DenseA()
 			a2 := a.Mul(a)
-			bD := m.DenseB().ToComplex()
+			bD := m.DenseB()
 			abD := a.Mul(bD)
 
-			x := make([]complex128, n)
-			for i := range x {
-				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-			y := make([]complex128, n)
-			m.CApplyA2(y, x)
-			want := a2.MulVec(x)
-			if d := maxAbsDiff(y, want); d > tol*vecScale(want) {
-				t.Fatalf("CApplyA2 mismatch %g", d)
-			}
+			x := randVec(n)
+			y := make([]float64, n)
+			m.RApplyA2(y, x)
+			check("RApplyA2", y, a2.MulVec(x))
 
-			tau := complex(-1-rng.Float64(), 0.3*rng.NormFloat64())
+			tau := -1 - rng.Float64()
 			shifted := a2.Clone()
 			for i := 0; i < n; i++ {
 				shifted.Set(i, i, shifted.At(i, i)-tau)
 			}
-			f, err := mat.CLUFactor(shifted)
+			f, err := mat.LUFactor(shifted)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.CSolveShiftedA2(y, x, tau); err != nil {
+			if err := m.RSolveShiftedA2(y, x, tau); err != nil {
 				t.Fatal(err)
 			}
-			want = f.Solve(x)
-			if d := maxAbsDiff(y, want); d > tol*vecScale(want) {
-				t.Fatalf("CSolveShiftedA2 mismatch %g", d)
-			}
+			check("RSolveShiftedA2", y, f.Solve(x))
 
-			s1 := make([]complex128, p)
-			s2 := make([]complex128, p)
-			for i := 0; i < p; i++ {
-				s1[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-				s2[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-			m.CApplyABPair(y, s1, s2)
-			want = abD.MulVec(s1)
-			wb := bD.MulVec(s2)
-			for i := range want {
-				want[i] += wb[i]
-			}
-			if d := maxAbsDiff(y, want); d > tol*vecScale(want) {
-				t.Fatalf("CApplyABPair mismatch %g", d)
-			}
+			s1, s2 := randVec(p), randVec(p)
+			m.RApplyABPair(y, s1, s2)
+			want := abD.MulVec(s1)
+			mat.Axpy(1, bD.MulVec(s2), want)
+			check("RApplyABPair", y, want)
 
 			// Capacitance panel against dense V·(A²−τI)⁻¹·[A·B | B].
 			q := 2 * p
@@ -266,43 +264,52 @@ func TestSquaredKernelEquivalence(t *testing.T) {
 					vt[j*q+r] = v
 				}
 			}
-			dst := make([]complex128, q*2*p)
-			if err := m.VResolventA2BPair(dst, vt, q, tau); err != nil {
+			dst := make([]float64, q*2*p)
+			if err := m.RResolventA2BPair(dst, vt, q, tau); err != nil {
 				t.Fatal(err)
 			}
-			vC := vD.ToComplex()
-			ga := vC.Mul(f.SolveMat(abD))
-			gb := vC.Mul(f.SolveMat(bD))
+			ga := vD.Mul(f.SolveMat(abD))
+			gb := vD.Mul(f.SolveMat(bD))
+			gaScale, gbScale := vecScale(realToComplex(ga.Data)), vecScale(realToComplex(gb.Data))
 			for r := 0; r < q; r++ {
 				for k := 0; k < p; k++ {
-					if d := cAbs(dst[r*2*p+k] - ga.At(r, k)); d > tol*vecScale(ga.Data) {
-						t.Fatalf("VResolventA2BPair A·B col mismatch %g", d)
+					if d := math.Abs(dst[r*2*p+k] - ga.At(r, k)); d > tol*gaScale {
+						t.Fatalf("RResolventA2BPair A·B col mismatch %g", d)
 					}
-					if d := cAbs(dst[r*2*p+p+k] - gb.At(r, k)); d > tol*vecScale(gb.Data) {
-						t.Fatalf("VResolventA2BPair B col mismatch %g", d)
+					if d := math.Abs(dst[r*2*p+p+k] - gb.At(r, k)); d > tol*gbScale {
+						t.Fatalf("RResolventA2BPair B col mismatch %g", d)
 					}
 				}
 			}
 
-			taus := []complex128{tau, tau - 0.7, complex(-3, 0.1)}
-			multi := make([]complex128, len(taus)*q*2*p)
+			taus := []float64{tau, tau - 0.7, -3}
+			multi := make([]float64, len(taus)*q*2*p)
 			errs := make([]error, len(taus))
-			m.VResolventA2BPairMulti(multi, vt, q, taus, errs)
+			m.RResolventA2BPairMulti(multi, vt, q, taus, errs)
 			for s, th := range taus {
 				if errs[s] != nil {
 					t.Fatal(errs[s])
 				}
-				if err := m.VResolventA2BPair(dst, vt, q, th); err != nil {
+				if err := m.RResolventA2BPair(dst, vt, q, th); err != nil {
 					t.Fatal(err)
 				}
 				for i, v := range dst {
 					if multi[s*q*2*p+i] != v {
-						t.Fatalf("VResolventA2BPairMulti shift %d not bit-identical", s)
+						t.Fatalf("RResolventA2BPairMulti shift %d not bit-identical", s)
 					}
 				}
 			}
 		})
 	}
+}
+
+// realToComplex widens a real vector for the complex comparison helpers.
+func realToComplex(v []float64) []complex128 {
+	out := make([]complex128, len(v))
+	for i, x := range v {
+		out[i] = complex(x, 0)
+	}
+	return out
 }
 
 func cAbs(z complex128) float64 { return cmplx.Abs(z) }
@@ -432,7 +439,7 @@ func TestSparseApplyZeroAllocs(t *testing.T) {
 	}
 	yp := make([]complex128, m.P)
 	yn := make([]complex128, n)
-	m.CApplyC(yp, x)  // warm the CSR build and kernel cache
+	m.CApplyC(yp, x) // warm the CSR build and kernel cache
 	m.CApplyCT(yn, u)
 	if avg := testing.AllocsPerRun(100, func() { m.CApplyC(yp, x) }); avg != 0 {
 		t.Fatalf("sparse CApplyC allocates %.1f objects per call, want 0", avg)

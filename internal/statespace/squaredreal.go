@@ -2,15 +2,26 @@ package statespace
 
 import "repro/internal/mat"
 
-// Real-arithmetic variants of the squared-operator kernels in squared.go.
-// Every sweep shift on the half-size path is τ = −ω² — real — and the
-// squared operator N = A² + U·V is itself real, so the entire shift-invert
-// Arnoldi iteration can run on real state vectors: half the memory traffic
-// and half the flops of the complex kernels at identical block structure.
-// Expression ordering matches the complex kernels so the real path is
-// deterministic for a fixed model/shift, and (A²−τI) block determinants are
-// the same quantities, so singularity detection agrees with the complex
-// route bit-for-bit.
+// Squared-operator kernels for the half-size Hamiltonian path. For a
+// reciprocal model the 2n×2n Hamiltonian M is similar to [0, P̃; Q̃, 0]
+// with P̃ = A + B·Wp·C and Q̃ = A + B·Wq·C, so spec(M)² = spec(N) with
+//
+//	N = Q̃·P̃ = A² + U·V,  U = [A·B | B] (n×2p),
+//	V = [Wp·C ; Wq·(C·A + (C·B)·Wp·C)] (2p×n, real).
+//
+// A² inherits A's block-diagonal form — each 2×2 rotation block squares to
+// another rotation block with σ' = σ² − ω², ω' = 2σω — so (N − τI)⁻¹ is
+// again a block-diagonal solve plus a rank-2p SMW correction, mirroring
+// the full-size shift-invert setup at half the state dimension. V is
+// precomputed by the hamiltonian package (it owns Wp/Wq); the kernels here
+// provide the block-local pieces: A² applies/solves, the U-pair apply, and
+// the V·(A² − τI)⁻¹·U capacitance panels (single and multi-shift).
+//
+// Every sweep shift on the half-size path is τ = −ω² — real — and N is
+// itself real, so the kernels work on real state vectors end to end: the
+// shift-invert Arnoldi runs on its real lane, at half the memory traffic
+// and half the flops of complex arithmetic. Each kernel is deterministic
+// for a fixed model and shift.
 
 // RApplyA2 computes y = A²·x blockwise on a real state vector.
 func (m *Model) RApplyA2(y, x []float64) {
@@ -81,9 +92,11 @@ func (m *Model) RApplyABPair(y []float64, s1, s2 []float64) {
 //
 //	X = [ V·(A² − τI)⁻¹·A·B | V·(A² − τI)⁻¹·B ]
 //
-// into dst (row-major, len q·2p) for a real shift τ, with V supplied
-// transposed as vt exactly as in VResolventA2BPair. Returns
-// mat.ErrSingular when τ hits a squared pole.
+// into dst (row-major, len q·2p) for a real shift τ and a real q×n matrix
+// V supplied TRANSPOSED as vt (n×q row-major, so each state reads one
+// contiguous q-row). The per-column resolvent solves are block-local, so
+// the panel costs O(n·q). Returns mat.ErrSingular when τ hits a squared
+// pole.
 func (m *Model) RResolventA2BPair(dst []float64, vt []float64, q int, tau float64) error {
 	pk := m.packKernels()
 	p := pk.p
