@@ -35,11 +35,12 @@ type Operator interface {
 	Apply(y, x []complex128) error
 }
 
-// RitzPair is one approximate eigenpair of the operator.
+// RitzPair is one approximate eigenvalue of the operator with its residual
+// estimate; the matching Ritz vector x is lifted on demand by
+// RitzVector.
 type RitzPair struct {
 	Value    complex128 // Ritz value μ
 	Residual float64    // ‖Op·x − μ·x‖ estimate (|h_{d+1,d}·y_d|)
-	Vector   []complex128
 }
 
 // Config controls one Arnoldi factorization sweep.
@@ -93,10 +94,12 @@ type lane[T scalar] interface {
 	apply(y, x []T) error
 	// randomStart draws a deterministic random unit start vector.
 	randomStart(rng *rand.Rand) []T
-	// projSub, norm2 and scale are the BLAS-1 kernels of the MGS loop;
-	// projSub returns the projection coefficient widened to complex for
-	// the Hessenberg.
-	projSub(u, w []T) complex128
+	// projSubChain, norm2 and scale are the BLAS-1 kernels of the MGS
+	// loop. projSubChain is one MGS pass of w over the chain q, writing
+	// each link's projection coefficient to h; widen maps a coefficient to
+	// the complex Hessenberg.
+	projSubChain(q [][]T, w, h []T)
+	widen(c T) complex128
 	norm2(w []T) float64
 	scale(a float64, w []T)
 	// lift accumulates x += y·v, mapping a basis vector into a Ritz vector.
@@ -128,6 +131,9 @@ type factorization[T scalar] struct {
 	Invariant bool
 	OpApplies int
 	lane      lane[T]
+	// ritz holds the eigenvectors of H from the last RitzPairs call,
+	// column idx for Ritz pair idx.
+	ritz *mat.CDense
 }
 
 // Run performs one Arnoldi factorization of op with the given start vector,
@@ -151,43 +157,48 @@ func run[T scalar](l lane[T], start []T, locked [][]T, cfg Config) (*factorizati
 	if d <= 0 {
 		return nil, ErrBreakdownEmpty
 	}
+	// chain is locked ++ V: every MGS pass deflates against the locked
+	// vectors and orthogonalizes against the basis in one kernel call,
+	// with the coefficients landing in coef.
+	nl := len(locked)
+	chain := make([][]T, nl, nl+d+1)
+	copy(chain, locked)
+	coef := make([]T, nl+d)
 	v0 := make([]T, n)
 	copy(v0, start)
-	orthogonalize(l, v0, locked)
+	l.projSubChain(locked, v0, coef[:nl])
 	nrm := l.norm2(v0)
 	if nrm < 1e-300 {
 		return nil, ErrBreakdownEmpty
 	}
 	l.scale(1/nrm, v0)
+	chain = append(chain, v0)
 
-	v := make([][]T, 0, d+1)
-	v = append(v, v0)
 	h := mat.NewCDense(d, d)
 	w := make([]T, n)
 	fac := &factorization[T]{lane: l}
 	for j := 0; j < d; j++ {
-		if err := l.apply(w, v[j]); err != nil {
+		if err := l.apply(w, chain[nl+j]); err != nil {
 			return nil, err
 		}
 		fac.OpApplies++
 		wNormBefore := l.norm2(w)
-		// Deflate against locked, then MGS against the basis (fused
-		// project-and-subtract kernel).
-		orthogonalize(l, w, locked)
+		q, c := chain[:nl+j+1], coef[:nl+j+1]
+		l.projSubChain(q, w, c)
 		for i := 0; i <= j; i++ {
-			h.Set(i, j, l.projSub(v[i], w))
+			h.Set(i, j, l.widen(c[nl+i]))
 		}
 		// Selective reorthogonalization (Kahan–Parlett "twice is enough"
 		// criterion): a second pass is only needed when cancellation ate a
 		// substantial part of the vector.
-		if l.norm2(w) < 0.5*wNormBefore {
-			orthogonalize(l, w, locked)
-			for i := 0; i <= j; i++ {
-				c := l.projSub(v[i], w)
-				h.Set(i, j, h.At(i, j)+c)
-			}
-		}
 		hn := l.norm2(w)
+		if hn < 0.5*wNormBefore {
+			l.projSubChain(q, w, c)
+			for i := 0; i <= j; i++ {
+				h.Set(i, j, h.At(i, j)+l.widen(c[nl+i]))
+			}
+			hn = l.norm2(w)
+		}
 		fac.Steps = j + 1
 		// Relative breakdown test against the column norm of H.
 		var colScale float64
@@ -204,16 +215,16 @@ func run[T scalar](l lane[T], start []T, locked [][]T, cfg Config) (*factorizati
 		if cfg.StopEarly != nil && cfg.CheckEvery > 0 && (j+1)%cfg.CheckEvery == 0 && j+1 < d {
 			k := j + 1
 			if cfg.StopEarly(leading(h, k), hn, k) {
-				v = append(v, nextBasis(l, w, hn))
+				chain = append(chain, nextBasis(l, w, hn))
 				break
 			}
 		}
 		if j+1 < d {
 			h.Set(j+1, j, complex(hn, 0))
 		}
-		v = append(v, nextBasis(l, w, hn))
+		chain = append(chain, nextBasis(l, w, hn))
 	}
-	fac.V = v
+	fac.V = chain[nl:]
 	fac.H = leading(h, fac.Steps)
 	return fac, nil
 }
@@ -237,8 +248,10 @@ func nextBasis[T scalar](l lane[T], w []T, hn float64) []T {
 	return next
 }
 
-// RitzPairs extracts the Ritz pairs of the factorization: eigenpairs of the
-// projected H lifted back through the basis. For a real basis the Ritz
+// RitzPairs extracts the Ritz values of the factorization, the eigenvalues
+// of the projected H, with their residual estimates. It lifts no vectors:
+// each lift is a pass over the whole basis, and a caller needs only a few
+// of them, so RitzVector lifts one on demand. For a real basis the Ritz
 // values come in conjugate pairs with conjugate vectors and identical
 // residuals.
 func (f *factorization[T]) RitzPairs() ([]RitzPair, error) {
@@ -250,27 +263,26 @@ func (f *factorization[T]) RitzPairs() ([]RitzPair, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(f.V[0])
+	f.ritz = vecs
 	out := make([]RitzPair, k)
 	for idx := 0; idx < k; idx++ {
 		res := f.HNext * cmplx.Abs(vecs.At(k-1, idx))
 		if f.Invariant {
 			res = 0
 		}
-		x := make([]complex128, n)
-		for i := 0; i < k; i++ {
-			f.lane.lift(x, vecs.At(i, idx), f.V[i])
-		}
-		out[idx] = RitzPair{Value: vals[idx], Residual: res, Vector: x}
+		out[idx] = RitzPair{Value: vals[idx], Residual: res}
 	}
 	return out, nil
 }
 
-// orthogonalize removes the components of w along each (unit) vector in q.
-func orthogonalize[T scalar](l lane[T], w []T, q [][]T) {
-	for _, u := range q {
-		l.projSub(u, w)
+// RitzVector lifts the Ritz vector of pair idx of the last RitzPairs call
+// back through the basis: x = Σ_i y_i·v_i for the eigenvector y of H.
+func (f *factorization[T]) RitzVector(idx int) []complex128 {
+	x := make([]complex128, len(f.V[0]))
+	for i := 0; i < f.Steps; i++ {
+		f.lane.lift(x, f.ritz.At(i, idx), f.V[i])
 	}
+	return x
 }
 
 // complexLane runs the iteration on C^n: the full 2n Hamiltonian path and
@@ -282,9 +294,12 @@ func (l complexLane) apply(y, x []complex128) error { return l.op.Apply(y, x) }
 func (l complexLane) randomStart(rng *rand.Rand) []complex128 {
 	return RandomStart(rng, l.op.Dim())
 }
-func (complexLane) projSub(u, w []complex128) complex128 { return mat.CProjSub(u, w) }
-func (complexLane) norm2(w []complex128) float64         { return mat.CNorm2(w) }
-func (complexLane) scale(a float64, w []complex128)      { mat.CScaleVec(complex(a, 0), w) }
+func (complexLane) projSubChain(q [][]complex128, w, h []complex128) {
+	mat.CProjSubChain(q, w, h)
+}
+func (complexLane) widen(c complex128) complex128   { return c }
+func (complexLane) norm2(w []complex128) float64    { return mat.CNorm2(w) }
+func (complexLane) scale(a float64, w []complex128) { mat.CScaleVec(complex(a, 0), w) }
 func (complexLane) lift(x []complex128, y complex128, v []complex128) {
 	mat.CAxpy(y, v, x)
 }
@@ -363,20 +378,21 @@ func LargestMagnitude(op Operator, cfg Config, restarts int, relTol float64) (co
 		if err != nil {
 			return 0, err
 		}
-		var top RitzPair
-		for _, p := range pairs {
-			if cmplx.Abs(p.Value) > cmplx.Abs(top.Value) {
-				top = p
+		top := -1
+		var topValue complex128
+		for idx, p := range pairs {
+			if cmplx.Abs(p.Value) > cmplx.Abs(topValue) {
+				top, topValue = idx, p.Value
 			}
 		}
-		if top.Vector == nil {
+		if top < 0 {
 			return 0, errors.New("arnoldi: no Ritz pairs extracted")
 		}
-		if r > 0 && math.Abs(cmplx.Abs(top.Value)-cmplx.Abs(best)) <= relTol*cmplx.Abs(top.Value) {
-			return top.Value, nil
+		if r > 0 && math.Abs(cmplx.Abs(topValue)-cmplx.Abs(best)) <= relTol*cmplx.Abs(topValue) {
+			return topValue, nil
 		}
-		best = top.Value
-		start = top.Vector // restart in the dominant direction
+		best = topValue
+		start = fac.RitzVector(top) // restart in the dominant direction
 		if fac.Invariant {
 			break
 		}

@@ -160,9 +160,10 @@ func TestRitzResidualEstimateIsAccurate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pairs {
-		ax := a.MulVec(p.Vector)
-		mat.CAxpy(-p.Value, p.Vector, ax)
+	for idx, p := range pairs {
+		x := fac.RitzVector(idx)
+		ax := a.MulVec(x)
+		mat.CAxpy(-p.Value, x, ax)
 		truth := mat.CNorm2(ax)
 		if math.Abs(truth-p.Residual) > 1e-6*(1+truth) {
 			t.Fatalf("residual estimate %g, true %g", p.Residual, truth)

@@ -91,9 +91,10 @@ func TestStopEarlyTerminatesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pairs {
-		ax := a.MulVec(p.Vector)
-		mat.CAxpy(-p.Value, p.Vector, ax)
+	for idx, p := range pairs {
+		x := fac.RitzVector(idx)
+		ax := a.MulVec(x)
+		mat.CAxpy(-p.Value, x, ax)
 		if r := mat.CNorm2(ax); math.Abs(r-p.Residual) > 1e-6*(1+r) {
 			t.Fatalf("early-stopped residual estimate off: %g vs %g", p.Residual, r)
 		}

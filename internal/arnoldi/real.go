@@ -53,11 +53,12 @@ func SingleShiftReal(inv RealShiftInverter, rho0 float64, params SingleShiftPara
 // realLane runs the iteration on R^n.
 type realLane struct{ op RealOperator }
 
-func (l realLane) dim() int                        { return l.op.Dim() }
-func (l realLane) apply(y, x []float64) error      { return l.op.Apply(y, x) }
-func (realLane) projSub(u, w []float64) complex128 { return complex(mat.ProjSub(u, w), 0) }
-func (realLane) norm2(w []float64) float64         { return mat.Norm2(w) }
-func (realLane) scale(a float64, w []float64)      { mat.ScaleVec(a, w) }
+func (l realLane) dim() int                                 { return l.op.Dim() }
+func (l realLane) apply(y, x []float64) error               { return l.op.Apply(y, x) }
+func (realLane) projSubChain(q [][]float64, w, h []float64) { mat.ProjSubChain(q, w, h) }
+func (realLane) widen(c float64) complex128                 { return complex(c, 0) }
+func (realLane) norm2(w []float64) float64                  { return mat.Norm2(w) }
+func (realLane) scale(a float64, w []float64)               { mat.ScaleVec(a, w) }
 
 func (l realLane) randomStart(rng *rand.Rand) []float64 {
 	v := make([]float64, l.op.Dim())

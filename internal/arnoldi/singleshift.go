@@ -220,11 +220,14 @@ func singleShift[T scalar](l lane[T], theta complex128, rho0 float64, params Sin
 		if err != nil {
 			return nil, err
 		}
+		// Ritz vectors are lifted only where they are read: each converged
+		// one (locked, and measured for its base residual) and the
+		// closest unconverged one (the next warm start).
 		minUnconv = math.Inf(1)
+		closest := -1
 		newConv := 0
 		ghosts := 0
-		warmStart = nil
-		for _, p := range pairs {
+		for idx, p := range pairs {
 			if p.Value == 0 {
 				continue
 			}
@@ -242,12 +245,13 @@ func singleShift[T scalar](l lane[T], theta complex128, rho0 float64, params Sin
 				// "ghost" of an already-locked direction (the locked Ritz
 				// vector is only tol-accurate); purging it keeps later
 				// sweeps exploring fresh directions.
-				locked = l.lock(locked, p.Vector)
+				x := fac.RitzVector(idx)
+				locked = l.lock(locked, x)
 				if !dup {
 					converged = append(converged, conv{
 						lambda: lambda,
 						dist:   dist,
-						residM: l.baseResidual(lambda, p.Vector),
+						residM: l.baseResidual(lambda, x),
 					})
 					newConv++
 				} else {
@@ -257,8 +261,12 @@ func singleShift[T scalar](l lane[T], theta complex128, rho0 float64, params Sin
 			}
 			if dist < minUnconv {
 				minUnconv = dist
-				warmStart = l.restartDirection(p.Vector)
+				closest = idx
 			}
+		}
+		warmStart = nil
+		if closest >= 0 {
+			warmStart = l.restartDirection(fac.RitzVector(closest))
 		}
 		if fac.Invariant && newConv == 0 {
 			res.Exhausted = true

@@ -67,16 +67,62 @@ func ProjSub(u, w []float64) float64 {
 	return h
 }
 
+// ProjSubChain runs a modified Gram–Schmidt chain: for each u = q[k] in
+// order it sets h[k] = uᵀ·w and w ← w − h[k]·u, bit for bit what len(q)
+// successive ProjSub calls compute. The axpy of each link is fused with the
+// dot of the next, so w is swept once per link instead of twice; a zero
+// coefficient skips its axpy exactly as ProjSub does. This is the real
+// counterpart of CProjSubChain.
+func ProjSubChain(q [][]float64, w, h []float64) {
+	if len(h) != len(q) {
+		panic(fmt.Sprintf("mat: %d coefficients for a chain of %d", len(h), len(q)))
+	}
+	if len(q) == 0 {
+		return
+	}
+	c := Dot(q[0], w)
+	for k, u := range q {
+		h[k] = c
+		switch {
+		case k+1 == len(q):
+			if c != 0 {
+				Axpy(-c, u, w)
+			}
+		case c == 0:
+			c = Dot(q[k+1], w)
+		default:
+			c = axpyDot(-c, u, q[k+1], w)
+		}
+	}
+}
+
+// axpyDot performs w ← w + a·x and returns yᵀ·w of the updated w, with
+// Axpy's update and Dot's accumulation order.
+func axpyDot(a float64, x, y, w []float64) float64 {
+	if len(x) != len(w) || len(y) != len(w) {
+		panic(fmt.Sprintf("mat: vector length mismatch %d, %d vs %d", len(x), len(y), len(w)))
+	}
+	x, y = x[:len(w)], y[:len(w)]
+	var s float64
+	for i, wv := range w {
+		wv += a * x[i]
+		w[i] = wv
+		s += y[i] * wv
+	}
+	return s
+}
+
 // ---- complex vector helpers ----
 //
 // The complex BLAS-1 kernels below sit inside the Arnoldi MGS loop, which
-// is the second-largest cost of a solve after the structured operators.
-// They are written in explicit real arithmetic — no cmplx.Conj calls, no
-// per-element [2]float64 literals — with the accumulation order of the
-// original straightforward loops preserved, so results are bit-identical
-// up to documented exceptions (CNorm2's fast path reassociates the sum of
-// squares; CAxpy's unrolling is exact because it has no cross-iteration
-// dependence).
+// costs about as much CPU as the structured-operator applies on a
+// full-path characterization (case 5: ~30% of samples each; DESIGN.md,
+// "The hot path"). They are written in explicit real arithmetic — no
+// cmplx.Conj calls, no per-element [2]float64 literals — with the
+// accumulation order of the original straightforward loops preserved, so
+// results are bit-identical up to documented exceptions (CNorm2's fast
+// path reassociates the sum of squares; CAxpy's unrolling is exact because
+// it has no cross-iteration dependence).
 
 // CDot returns the inner product xᴴy (conjugating x).
 func CDot(x, y []complex128) complex128 {
@@ -165,6 +211,56 @@ func CProjSub(u, w []complex128) complex128 {
 		CAxpy(-h, u, w)
 	}
 	return h
+}
+
+// CProjSubChain runs a modified Gram–Schmidt chain: for each u = q[k] in
+// order it sets h[k] = uᴴ·w and w ← w − h[k]·u, bit for bit what len(q)
+// successive CProjSub calls compute. The axpy of each link is fused with
+// the dot of the next, so w is swept once per link instead of twice; a zero
+// coefficient skips its axpy exactly as CProjSub does. One call is one MGS
+// pass of an Arnoldi step over the locked vectors and the basis.
+func CProjSubChain(q [][]complex128, w, h []complex128) {
+	if len(h) != len(q) {
+		panic(fmt.Sprintf("mat: %d coefficients for a chain of %d", len(h), len(q)))
+	}
+	if len(q) == 0 {
+		return
+	}
+	c := CDot(q[0], w)
+	for k, u := range q {
+		h[k] = c
+		switch {
+		case k+1 == len(q):
+			if c != 0 {
+				CAxpy(-c, u, w)
+			}
+		case c == 0:
+			c = CDot(q[k+1], w)
+		default:
+			c = cAxpyDot(-c, u, q[k+1], w)
+		}
+	}
+}
+
+// cAxpyDot performs w ← w + a·x and returns yᴴ·w of the updated w, with
+// CAxpy's update and CDot's accumulation order.
+func cAxpyDot(a complex128, x, y, w []complex128) complex128 {
+	if len(x) != len(w) || len(y) != len(w) {
+		panic(fmt.Sprintf("mat: vector length mismatch %d, %d vs %d", len(x), len(y), len(w)))
+	}
+	x, y = x[:len(w)], y[:len(w)]
+	ar, ai := real(a), imag(a)
+	var re, im float64
+	for i, wv := range w {
+		xv := x[i]
+		wr := real(wv) + (ar*real(xv) - ai*imag(xv))
+		wi := imag(wv) + (ar*imag(xv) + ai*real(xv))
+		w[i] = complex(wr, wi)
+		yr, yi := real(y[i]), imag(y[i])
+		re += yr*wr + yi*wi
+		im += yr*wi - yi*wr
+	}
+	return complex(re, im)
 }
 
 // CScaleVec computes x ← a·x in place.
