@@ -12,9 +12,9 @@
 //     warm-started re-characterizations, reporting the drop in total
 //     Stats.ShiftsProcessed.
 //  4. Shift-cache A/B — the same enforcement with the shift-factorization
-//     cache off (every shift refactors) vs on (LRU over SMW factors +
-//     batched multi-shift prefactor), asserting bit-identical crossings
-//     and reporting the hit rate and wall-time delta.
+//     cache off (every shift refactors) vs on (an LRU over SMW factors),
+//     asserting bit-identical crossings and reporting the hit rate and
+//     wall-time delta.
 //  5. Priority + admission — batch enforcement jobs fill a bounded-
 //     admission engine, then an interactive characterization submitted
 //     mid-batch must overtake the queued batch work and finish first; a
@@ -442,10 +442,10 @@ func main() {
 	}
 
 	// Phase 4: shift-cache on/off A/B — the same enforcement run with the
-	// factorization cache disabled (every shift refactors from scratch, no
-	// batched prefactor) vs enabled through an operator cache, asserting the
-	// final crossings are bit-identical and reporting the hit rate and the
-	// wall-time delta the cache buys.
+	// factorization cache disabled (every shift refactors from scratch) vs
+	// enabled through an operator cache, asserting the final crossings are
+	// bit-identical and reporting the hit rate and the wall-time delta the
+	// cache buys.
 	if *cacheCase > 0 {
 		spec, err := repro.FindCase(*cacheCase)
 		if err != nil {

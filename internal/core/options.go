@@ -76,15 +76,6 @@ type Options struct {
 	// the model's kernel epoch, so results are bit-identical with the
 	// cache on, off, or thrashing.
 	ShiftCacheSize int
-	// MultiShiftBatch is the number of startup shifts prefactored per
-	// PhaseSetup pool task at submission: each task computes its chunk's
-	// resolvent panels in one pass over the packed kernels
-	// (statespace.CResolventBMulti / BTResolventCTMulti) and publishes the
-	// factorizations into the shift cache ahead of the PhaseEig tasks that
-	// consume them. Default 8; < 0 disables batched prefactoring (shifts
-	// then factor lazily, one at a time). Ignored when no cache is
-	// attached.
-	MultiShiftBatch int
 	// InitialShifts warm-starts the scheduler: instead of the κT uniform
 	// subdivision, the startup intervals are cut around these shift
 	// locations (see warmIntervals). Used by passivity enforcement to seed
@@ -220,9 +211,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.ShiftCacheSize == 0 {
 		o.ShiftCacheSize = DefaultShiftCacheSize
-	}
-	if o.MultiShiftBatch == 0 {
-		o.MultiShiftBatch = 8
 	}
 }
 

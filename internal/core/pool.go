@@ -34,10 +34,10 @@ const (
 const (
 	// PhaseEig is a tentative-interval shift task of a multi-shift solve.
 	PhaseEig = "eig"
-	// PhaseSetup is a batched shift-factorization task: one chunk of a
-	// solve's startup shifts prefactored into the operator's shift cache
-	// via the multi-shift resolvent-panel kernels (Job submission batches
-	// these ahead of the per-shift PhaseEig tasks).
+	// PhaseSetup is a retired label: no task runs under it any more (each
+	// shift's SMW setup is factored lazily inside its PhaseEig task). It
+	// is kept so per-phase readers of PhaseStats keep compiling; its
+	// counters always read zero.
 	PhaseSetup = "setup"
 	// PhaseProbe is a per-band σ_max probe of passivity.classifyBands.
 	PhaseProbe = "probe"

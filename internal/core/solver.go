@@ -36,7 +36,8 @@ func EstimateOmegaMax(op *hamiltonian.Op, seed int64) (float64, error) {
 
 // runShift executes one single-shift iteration S(jω, ρ₀) on a factored
 // shift-invert operator — freshly factored, or pinned from the operator's
-// shift cache when the interval was prefactored (Job.prefactorShifts).
+// shift cache when an earlier solve on the same operator factored the
+// same shift.
 // When the operator carries the half-size reciprocal path, the iteration
 // runs in the squared spectral space μ = λ² at shift τ = −ω² and the
 // result is mapped back to λ-space (see runShiftHalf); the returned

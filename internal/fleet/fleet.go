@@ -78,27 +78,21 @@ type EngineOptions struct {
 	// FailFast makes Submit return ErrQueueFull immediately instead of
 	// blocking when MaxQueued jobs are in flight.
 	FailFast bool
-	// ShiftCacheSize sizes the engine-wide shift-factorization cache
-	// shared by every job (hamiltonian.OpCache): jobs characterizing the
-	// same model share one balanced operator, one packed-kernel epoch, and
-	// one LRU of factored SMW shifts. 0 means DefaultShiftCacheSize;
-	// < 0 disables cross-job sharing (each job then runs with the
-	// per-solve cache policy of its own core.Options.ShiftCacheSize).
-	// Results are bit-identical either way — the cache only skips
-	// redundant factorization work.
-	ShiftCacheSize int
 }
 
-// DefaultShiftCacheSize is the engine-wide factorization-cache capacity
-// when EngineOptions.ShiftCacheSize is zero: four per-solve defaults, so a
-// handful of concurrent jobs can keep their startup shifts resident at
-// once.
+// DefaultShiftCacheSize is the capacity of the engine-wide
+// shift-factorization cache shared by every job (hamiltonian.OpCache):
+// jobs characterizing the same model share one balanced operator, one
+// packed-kernel epoch, and one LRU of factored SMW shifts. Four per-solve
+// defaults, so a handful of concurrent jobs can keep their shifts
+// resident at once. Results are bit-identical with or without sharing —
+// the cache only skips redundant factorization work.
 const DefaultShiftCacheSize = 4 * core.DefaultShiftCacheSize
 
 // Engine owns the shared worker pool and tracks in-flight jobs.
 type Engine struct {
 	pool     *core.Pool
-	ops      *hamiltonian.OpCache // engine-wide operator + shift-factor cache, nil when disabled
+	ops      *hamiltonian.OpCache // engine-wide operator + shift-factor cache
 	sem      chan struct{}        // admission slots, nil when unbounded
 	failFast bool
 
@@ -123,15 +117,9 @@ func NewEngine(o EngineOptions) *Engine {
 	}
 	e := &Engine{
 		pool:     core.NewPool(w),
+		ops:      hamiltonian.NewOpCache(DefaultShiftCacheSize),
 		failFast: o.FailFast,
 		closedCh: make(chan struct{}),
-	}
-	if o.ShiftCacheSize >= 0 {
-		size := o.ShiftCacheSize
-		if size == 0 {
-			size = DefaultShiftCacheSize
-		}
-		e.ops = hamiltonian.NewOpCache(size)
 	}
 	if o.MaxQueued > 0 {
 		e.sem = make(chan struct{}, o.MaxQueued)
@@ -140,23 +128,17 @@ func NewEngine(o EngineOptions) *Engine {
 }
 
 // ShiftCacheStats snapshots the engine-wide factorization cache's
-// counters (zero-valued when cross-job sharing is disabled).
+// counters.
 func (e *Engine) ShiftCacheStats() hamiltonian.CacheStats {
-	if e.ops == nil {
-		return hamiltonian.CacheStats{}
-	}
 	return e.ops.ShiftCache().Stats()
 }
 
 // ModelCacheStats attributes the engine-wide cache's traffic to one
 // model's shared scattering operator — the hits and misses that model's
 // jobs generated, regardless of what the rest of the fleet did. Zero when
-// cross-job sharing is disabled or the model never ran through this
-// engine. cmd/fleetbench uses it for per-case cache columns.
+// the model never ran through this engine. cmd/fleetbench uses it for
+// per-case cache columns.
 func (e *Engine) ModelCacheStats(m *statespace.Model) hamiltonian.CacheStats {
-	if e.ops == nil {
-		return hamiltonian.CacheStats{}
-	}
 	return e.ops.StatsFor(m, hamiltonian.Scattering)
 }
 

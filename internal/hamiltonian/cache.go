@@ -21,10 +21,10 @@ import (
 // models can never be served stale panels. The shift component is the
 // exact bit pattern, not a lossy rounding: two different ϑs must never
 // share a factorization or the bit-identical-crossings invariant dies.
-// The repeat hits the cache exists for are already exact-bit repeats —
+// The repeat hits the cache exists for are already exact-bit repeats:
 // canonical-polish seeds are quantized to a fixed grid upstream (see
-// core.canonicalPolish), and prefactored startup shifts are consumed
-// verbatim by the per-shift eigensolver tasks.
+// core.canonicalPolish), and a characterization re-run on the same
+// operator asks for the same sweep shifts.
 //
 // Lifecycle: Get pins the entry (refcount) for the duration of the
 // caller's Arnoldi run; ShiftOp.Release unpins it. Eviction walks the LRU
@@ -232,30 +232,10 @@ func (c *ShiftCache) shiftInvertHalf(h *HalfOp, tau complex128) (*HalfShiftOp, e
 	return h.newShiftOp(e.fac, e), nil
 }
 
-// publish installs an externally built factor (the batched prefactor
-// path) under key and immediately unpins it. If the key is already
-// resident or in flight, the existing entry wins and fac is dropped —
-// both are bit-identical by construction.
-func (c *ShiftCache) publish(key shiftKey, fac *shiftFactor) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	e := &cacheEntry{cache: c, key: key, fac: fac, ready: make(chan struct{})}
-	close(e.ready)
-	c.entries[key] = e
-	e.elem = c.lru.PushFront(e)
-	c.evictLocked()
-}
-
 // SetShiftCache attaches (or, with nil, detaches) a factorization cache.
 // Safe to call concurrently with solves; in-flight operators keep whatever
 // factor they already hold.
 func (op *Op) SetShiftCache(c *ShiftCache) { op.cache.Store(c) }
-
-// ShiftCacheHandle returns the attached cache, or nil.
-func (op *Op) ShiftCacheHandle() *ShiftCache { return op.cache.Load() }
 
 // EnsureShiftCache attaches a fresh cache of the given capacity if none is
 // attached yet, and returns the attached cache. capacity < 1 is clamped.
@@ -275,67 +255,4 @@ func (op *Op) EnsureShiftCache(capacity int) *ShiftCache {
 // operators share the cache. Zero without an attached cache.
 func (op *Op) OpCacheStats() CacheStats {
 	return CacheStats{Hits: op.cacheHits.Load(), Misses: op.cacheMisses.Load()}
-}
-
-// PrefactorShifts factors every shift in thetas into the attached cache
-// using one batched pass over the packed kernels (CResolventBMulti /
-// BTResolventCTMulti): all 2·len(thetas) resolvent panels are computed
-// while each model block's coefficients are hot, then each capacitance is
-// assembled and factored exactly as the single-shift path would. Shifts
-// already resident (or in flight) are skipped; shifts that hit a pole or
-// an eigenvalue are silently left unfactored — the per-shift solve path
-// reports (and retries) those errors itself. No-op without a cache.
-//
-// The published factors are bit-identical to what ShiftInvert would build,
-// so prefactoring changes when setup work happens, never what any solve
-// computes.
-func (op *Op) PrefactorShifts(thetas []complex128) {
-	c := op.cache.Load()
-	if c == nil || len(thetas) == 0 {
-		return
-	}
-	// Reserve: figure out which shifts actually need factoring.
-	need := make([]complex128, 0, len(thetas))
-	keys := make([]shiftKey, 0, len(thetas))
-	seen := make(map[shiftKey]struct{}, len(thetas))
-	for _, th := range thetas {
-		k := shiftKeyFor(op, th)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		c.mu.Lock()
-		_, resident := c.entries[k]
-		c.mu.Unlock()
-		if resident {
-			continue
-		}
-		need = append(need, th)
-		keys = append(keys, k)
-	}
-	if len(need) == 0 {
-		return
-	}
-	p := op.P
-	pp := p * p
-	x1 := make([]complex128, len(need)*pp)
-	x2 := make([]complex128, len(need)*pp)
-	errs := make([]error, 2*len(need))
-	op.Model.CResolventBMulti(x1, need, errs[:len(need)])
-	// x2 panels are evaluated at −ϑ, matching factorShift.
-	neg := make([]complex128, len(need))
-	for i, th := range need {
-		neg[i] = -th
-	}
-	op.Model.BTResolventCTMulti(x2, neg, errs[len(need):])
-	for i, th := range need {
-		if errs[i] != nil || errs[len(need)+i] != nil {
-			continue // pole hit; the solve path owns the error/retry story
-		}
-		fac, err := op.assembleFactor(th, x1[i*pp:(i+1)*pp], x2[i*pp:(i+1)*pp])
-		if err != nil {
-			continue
-		}
-		c.publish(keys[i], fac)
-	}
 }

@@ -259,66 +259,3 @@ func TestShiftCacheConcurrentInvalidation(t *testing.T) {
 	}()
 	wg.Wait()
 }
-
-// TestPrefactorShiftsBitIdentical: factors published by the batched
-// prefactor path must be indistinguishable from lazily factored ones, be
-// counted as hits when consumed, and skip pole-hitting shifts without
-// poisoning the rest.
-func TestPrefactorShiftsBitIdentical(t *testing.T) {
-	m := testModel(t, 26, 3, 16, 1.05)
-	op, err := New(m, Scattering)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wmax := m.MaxPoleMagnitude()
-	thetas := []complex128{
-		complex(0, 0.15*wmax), complex(0, 0.4*wmax),
-		complex(0, 0.4*wmax), // duplicate: must be deduped, not double-factored
-		complex(0, 0.8*wmax),
-	}
-	rng := rand.New(rand.NewSource(8))
-	x := randCVec(rng, op.Dim())
-
-	// Uncached references.
-	want := make(map[complex128][]complex128)
-	for _, th := range thetas {
-		if _, ok := want[th]; ok {
-			continue
-		}
-		so, err := op.ShiftInvert(th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[th] = applyBits(t, so, x)
-		so.Release()
-	}
-
-	cache := NewShiftCache(8)
-	op.SetShiftCache(cache)
-	op.PrefactorShifts(thetas)
-	if n := cache.Len(); n != 3 {
-		t.Fatalf("prefactor published %d entries, want 3 (deduped)", n)
-	}
-	if st := cache.Stats(); st.Misses != 0 {
-		t.Fatalf("prefactor counted %d misses; published factors must not show up as solve misses", st.Misses)
-	}
-	for _, th := range thetas {
-		so, err := op.ShiftInvert(th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := applyBits(t, so, x); !sameBits(got, want[th]) {
-			t.Fatalf("shift %v: prefactored apply differs from uncached apply", th)
-		}
-		so.Release()
-	}
-	if st := cache.Stats(); st.Hits != uint64(len(thetas)) || st.Misses != 0 {
-		t.Fatalf("stats = %+v, want %d hits / 0 misses", st, len(thetas))
-	}
-
-	// Prefactoring again is a no-op (everything resident).
-	op.PrefactorShifts(thetas)
-	if n := cache.Len(); n != 3 {
-		t.Fatalf("re-prefactor grew the cache to %d entries", n)
-	}
-}

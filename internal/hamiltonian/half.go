@@ -243,13 +243,6 @@ func (h *HalfOp) factorShift(tau complex128) (*shiftFactor, error) {
 	if err := h.op.Model.RResolventA2BPair(panel, h.vt, 2*h.p, real(tau)); err != nil {
 		return nil, fmt.Errorf("hamiltonian: half shift %v hits a pole: %w", tau, err)
 	}
-	return h.assembleFactor(tau, panel)
-}
-
-// assembleFactor builds and factors the real cap = I + V·Gτ·U from the
-// panel. Shared by the single-shift and batched prefactor paths, which
-// hand it bit-identical panels.
-func (h *HalfOp) assembleFactor(tau complex128, panel []float64) (*shiftFactor, error) {
 	q := 2 * h.p
 	capm := mat.NewDense(q, q)
 	for i := 0; i < q; i++ {
@@ -355,58 +348,4 @@ func (so *HalfShiftOp) ApplyBase(y, x []float64) error {
 		y[i] += so.gu[i]
 	}
 	return nil
-}
-
-// PrefactorShifts factors every half-path shift in taus into the attached
-// cache using the batched panel kernel, mirroring Op.PrefactorShifts:
-// resident shifts are skipped, failures are left to the solve path, and
-// the published factors are bit-identical to lazy ones.
-func (h *HalfOp) PrefactorShifts(taus []complex128) {
-	c := h.op.cache.Load()
-	if c == nil || len(taus) == 0 {
-		return
-	}
-	need := make([]complex128, 0, len(taus))
-	keys := make([]shiftKey, 0, len(taus))
-	seen := make(map[shiftKey]struct{}, len(taus))
-	for _, tau := range taus {
-		if imag(tau) != 0 {
-			continue // half shifts are real by construction; leave odd ones to the solve path's error
-		}
-		k := h.shiftKeyFor(tau)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		c.mu.Lock()
-		_, resident := c.entries[k]
-		c.mu.Unlock()
-		if resident {
-			continue
-		}
-		need = append(need, tau)
-		keys = append(keys, k)
-	}
-	if len(need) == 0 {
-		return
-	}
-	q := 2 * h.p
-	sz := q * q
-	panels := make([]float64, len(need)*sz)
-	errs := make([]error, len(need))
-	rtaus := make([]float64, len(need))
-	for i, tau := range need {
-		rtaus[i] = real(tau)
-	}
-	h.op.Model.RResolventA2BPairMulti(panels, h.vt, q, rtaus, errs)
-	for i, tau := range need {
-		if errs[i] != nil {
-			continue
-		}
-		fac, err := h.assembleFactor(tau, panels[i*sz:(i+1)*sz])
-		if err != nil {
-			continue
-		}
-		c.publish(keys[i], fac)
-	}
 }

@@ -224,56 +224,61 @@ func TestHalfShiftInvertMatchesDense(t *testing.T) {
 	}
 }
 
-// TestHalfPrefactorBitIdentity checks that prefactored half-path shifts
-// produce bit-identical applies to the lazily factored ones, and that the
-// half path under a cache matches the cacheless path exactly.
-func TestHalfPrefactorBitIdentity(t *testing.T) {
+// TestHalfCacheHitBitIdentity checks the cached half path: a repeated
+// ShiftInvert(τ) on an operator with a shift cache is served from the
+// cache (shiftInvertHalf's hit branch), and both the factoring miss and
+// the hit apply bit-identically to the cacheless path.
+func TestHalfCacheHitBitIdentity(t *testing.T) {
 	m := reciprocalModel(t, 34, 2, 14, 1.05)
 	taus := []complex128{complex(-9e18, 0), complex(-4e19, 0), complex(-1e17, 0)}
 
-	build := func(prefactor bool) [][]float64 {
-		op, err := New(m, Scattering)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// repeats is how many times each τ is factored-or-fetched on op.
+	build := func(op *Op, repeats int) [][]float64 {
 		h := op.Half()
 		if h == nil {
 			t.Fatal("half path not engaged")
 		}
-		if prefactor {
-			op.EnsureShiftCache(8)
-			op.PrefactorSweep(taus)
-		}
 		rng := rand.New(rand.NewSource(21))
 		var outs [][]float64
 		for _, tau := range taus {
-			so, err := h.ShiftInvert(tau)
-			if err != nil {
-				t.Fatal(err)
-			}
 			x := randRVec(rng, h.Dim())
-			y := make([]float64, h.Dim())
-			if err := so.Apply(y, x); err != nil {
-				t.Fatal(err)
-			}
-			so.Release()
-			outs = append(outs, y)
-		}
-		if prefactor {
-			stats := op.OpCacheStats()
-			if stats.Hits != uint64(len(taus)) {
-				t.Fatalf("prefactored run: want %d cache hits, got %+v", len(taus), stats)
+			for r := 0; r < repeats; r++ {
+				so, err := h.ShiftInvert(tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				y := make([]float64, h.Dim())
+				if err := so.Apply(y, x); err != nil {
+					t.Fatal(err)
+				}
+				so.Release()
+				outs = append(outs, y)
 			}
 		}
 		return outs
 	}
 
-	plain := build(false)
-	cached := build(true)
+	plainOp, err := New(m, Scattering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedOp, err := New(m, Scattering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedOp.EnsureShiftCache(8)
+	plain := build(plainOp, 1)
+	cached := build(cachedOp, 2)
+	if stats := cachedOp.OpCacheStats(); stats.Hits != uint64(len(taus)) || stats.Misses != uint64(len(taus)) {
+		t.Fatalf("cached run: want %d hits / %d misses, got %+v", len(taus), len(taus), stats)
+	}
 	for i := range plain {
-		for j := range plain[i] {
-			if plain[i][j] != cached[i][j] {
-				t.Fatalf("shift %d: cached apply differs at %d: %v vs %v", i, j, plain[i][j], cached[i][j])
+		for r := 0; r < 2; r++ {
+			got := cached[2*i+r]
+			for j := range plain[i] {
+				if plain[i][j] != got[j] {
+					t.Fatalf("shift %d, call %d: cached apply differs at %d: %v vs %v", i, r, j, got[j], plain[i][j])
+				}
 			}
 		}
 	}

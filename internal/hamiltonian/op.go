@@ -247,39 +247,14 @@ func (op *Op) HalfRouted(omega, rho0 float64) bool {
 
 // SweepTheta maps a sweep shift (ω, ρ₀) to the shift the routed path
 // factors at: jω on the full path, τ = −ω² (the squared eigenvalue) on
-// the half path. Core must obtain sweep shifts through this method so
-// lazily factored and prefactored shifts agree to the bit.
+// the half path. Callers that replay core's sweep shifts obtain them
+// through this method, so they factor (and key the shift cache on) the
+// same bits the solve does.
 func (op *Op) SweepTheta(omega, rho0 float64) complex128 {
 	if op.HalfRouted(omega, rho0) {
 		return complex(-(omega * omega), 0)
 	}
 	return complex(0, omega)
-}
-
-// PrefactorSweep batch-prefactors sweep shifts (as produced by
-// SweepTheta) on the path each belongs to. Half-path shifts are exactly
-// the ones with a nonzero real part: full-path sweep shifts are purely
-// imaginary by construction and half-path shifts are −ω² < 0 (ω = 0
-// always routes full).
-func (op *Op) PrefactorSweep(thetas []complex128) {
-	if op.half == nil {
-		op.PrefactorShifts(thetas)
-		return
-	}
-	var full, half []complex128
-	for _, th := range thetas {
-		if real(th) != 0 {
-			half = append(half, th)
-		} else {
-			full = append(full, th)
-		}
-	}
-	if len(full) > 0 {
-		op.PrefactorShifts(full)
-	}
-	if len(half) > 0 {
-		op.half.PrefactorShifts(half)
-	}
 }
 
 func setBlock(dst *mat.Dense, i0, j0 int, b *mat.Dense) {
@@ -462,17 +437,9 @@ func (op *Op) factorShift(theta complex128) (*shiftFactor, error) {
 	if err := op.Model.BTResolventCT(ps.x2, -theta); err != nil {
 		return nil, fmt.Errorf("hamiltonian: shift %v hits a pole: %w", theta, err)
 	}
-	return op.assembleFactor(theta, ps.x1, ps.x2)
-}
-
-// assembleFactor builds and factors the SMW capacitance from the two
-// resolvent panels x1 = C·(A−ϑI)⁻¹·B and x2 = Bᵀ·(Aᵀ+ϑI)⁻¹·Cᵀ (x2 is
-// negated in place here). Shared by the single-shift path and the batched
-// prefactor path; both hand it bit-identical panels, so the factors agree
-// exactly.
-func (op *Op) assembleFactor(theta complex128, x1, x2 []complex128) (*shiftFactor, error) {
 	p := op.P
 	p2 := 2 * p
+	x1, x2 := ps.x1, ps.x2
 	for i := range x2 {
 		x2[i] = -x2[i]
 	}

@@ -66,28 +66,6 @@ func TestCharacterizeCacheInvariant(t *testing.T) {
 	}
 }
 
-// TestCharacterizeMultiShiftBatchInvariant: the batched prefactor pass is a
-// warm-up only — any chunk size (including disabled) yields the same report.
-func TestCharacterizeMultiShiftBatchInvariant(t *testing.T) {
-	m := genModel(t, 43, 24, 1.05)
-	var want *Report
-	for _, batch := range []int{-1, 1, 4, 64} {
-		rep, err := Characterize(m, Options{Core: core.Options{
-			Threads: 2, Seed: 11,
-			Arnoldi:         arnoldi.SingleShiftParams{NWanted: 4, MaxDim: 40},
-			MultiShiftBatch: batch,
-		}})
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		if want == nil {
-			want = rep
-			continue
-		}
-		reportsBitIdentical(t, "batch="+itoa(batch), rep, want)
-	}
-}
-
 func itoa(v int) string {
 	if v < 0 {
 		return "-" + itoa(-v)

@@ -92,56 +92,6 @@ func TestSparseKernelEquivalence(t *testing.T) {
 				if d := maxAbsDiff(pd, ps); d > tol*vecScale(pd) {
 					t.Fatalf("BTResolventCT backend mismatch %g", d)
 				}
-
-				// Multi panels: cross-backend at 1e-12, and bit-identical
-				// to the sparse single-shift calls.
-				thetas := []complex128{theta, theta + 0.5i, complex(-0.2, 2.1)}
-				nd := make([]complex128, len(thetas)*p*p)
-				ns := make([]complex128, len(thetas)*p*p)
-				errs := make([]error, len(thetas))
-				m.CResolventBMulti(nd, thetas, errs)
-				for _, err := range errs {
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				errs = make([]error, len(thetas))
-				sp.CResolventBMulti(ns, thetas, errs)
-				for _, err := range errs {
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				if d := maxAbsDiff(nd, ns); d > tol*vecScale(nd) {
-					t.Fatalf("CResolventBMulti backend mismatch %g", d)
-				}
-				for s, th := range thetas {
-					if err := sp.CResolventB(ps, th); err != nil {
-						t.Fatal(err)
-					}
-					for i, v := range ps {
-						if ns[s*p*p+i] != v {
-							t.Fatalf("sparse CResolventBMulti shift %d not bit-identical to single-shift", s)
-						}
-					}
-				}
-				errs = make([]error, len(thetas))
-				m.BTResolventCTMulti(nd, thetas, errs)
-				errs = make([]error, len(thetas))
-				sp.BTResolventCTMulti(ns, thetas, errs)
-				if d := maxAbsDiff(nd, ns); d > tol*vecScale(nd) {
-					t.Fatalf("BTResolventCTMulti backend mismatch %g", d)
-				}
-				for s, th := range thetas {
-					if err := sp.BTResolventCT(ps, th); err != nil {
-						t.Fatal(err)
-					}
-					for i, v := range ps {
-						if ns[s*p*p+i] != v {
-							t.Fatalf("sparse BTResolventCTMulti shift %d not bit-identical to single-shift", s)
-						}
-					}
-				}
 			})
 		}
 	}
@@ -278,24 +228,6 @@ func TestSquaredKernelEquivalence(t *testing.T) {
 					}
 					if d := math.Abs(dst[r*2*p+p+k] - gb.At(r, k)); d > tol*gbScale {
 						t.Fatalf("RResolventA2BPair B col mismatch %g", d)
-					}
-				}
-			}
-
-			taus := []float64{tau, tau - 0.7, -3}
-			multi := make([]float64, len(taus)*q*2*p)
-			errs := make([]error, len(taus))
-			m.RResolventA2BPairMulti(multi, vt, q, taus, errs)
-			for s, th := range taus {
-				if errs[s] != nil {
-					t.Fatal(errs[s])
-				}
-				if err := m.RResolventA2BPair(dst, vt, q, th); err != nil {
-					t.Fatal(err)
-				}
-				for i, v := range dst {
-					if multi[s*q*2*p+i] != v {
-						t.Fatalf("RResolventA2BPairMulti shift %d not bit-identical", s)
 					}
 				}
 			}

@@ -200,131 +200,3 @@ func (pk *packed) sparseBTResolventCT(dst []complex128, theta complex128) error 
 	}
 	return nil
 }
-
-// sparseResolventBMulti is the CSR variant of CResolventBMulti: the shift
-// loop is hoisted inside the block loop exactly as in the dense kernel, so
-// each panel is bit-identical to the corresponding sparseResolventB call.
-func (pk *packed) sparseResolventBMulti(dst []complex128, thetas []complex128, errs []error) {
-	p := pk.p
-	pp := p * p
-	for i := range dst[:len(thetas)*pp] {
-		dst[i] = 0
-	}
-	for i, off := range pk.off1 {
-		sig := pk.sig1[i]
-		b1 := pk.b11[i]
-		k := int(pk.col1[i])
-		lo, hi := pk.ctPtr[off], pk.ctPtr[off+1]
-		for s, theta := range thetas {
-			if errs[s] != nil {
-				continue
-			}
-			d := complex(sig, 0) - theta
-			if d == 0 {
-				errs[s] = mat.ErrSingular
-				continue
-			}
-			x0 := complex(b1, 0) / d
-			r0, i0 := real(x0), imag(x0)
-			out := dst[s*pp : (s+1)*pp]
-			for t := lo; t < hi; t++ {
-				cv := pk.ctVal[t]
-				out[int(pk.ctIdx[t])*p+k] += complex(cv*r0, cv*i0)
-			}
-		}
-	}
-	for i, off := range pk.off2 {
-		sig, w := pk.sig2[i], pk.om2[i]
-		b1, b2 := pk.b21[i], pk.b22[i]
-		k := int(pk.col2[i])
-		lo0, hi0 := pk.ctPtr[off], pk.ctPtr[off+1]
-		lo1, hi1 := pk.ctPtr[off+1], pk.ctPtr[off+2]
-		for s, theta := range thetas {
-			if errs[s] != nil {
-				continue
-			}
-			d := complex(sig, 0) - theta
-			det := d*d + complex(w*w, 0)
-			if det == 0 {
-				errs[s] = mat.ErrSingular
-				continue
-			}
-			idet := 1 / det
-			x0 := (scmul(b1, d) - complex(w*b2, 0)) * idet
-			x1 := (scmul(b2, d) + complex(w*b1, 0)) * idet
-			r0, i0 := real(x0), imag(x0)
-			r1, i1 := real(x1), imag(x1)
-			out := dst[s*pp : (s+1)*pp]
-			for t := lo0; t < hi0; t++ {
-				cv := pk.ctVal[t]
-				out[int(pk.ctIdx[t])*p+k] += complex(cv*r0, cv*i0)
-			}
-			for t := lo1; t < hi1; t++ {
-				cv := pk.ctVal[t]
-				out[int(pk.ctIdx[t])*p+k] += complex(cv*r1, cv*i1)
-			}
-		}
-	}
-}
-
-// sparseBTResolventCTMulti is the CSR variant of BTResolventCTMulti;
-// layout and error semantics match the dense kernel.
-func (pk *packed) sparseBTResolventCTMulti(dst []complex128, thetas []complex128, errs []error) {
-	p := pk.p
-	pp := p * p
-	for i := range dst[:len(thetas)*pp] {
-		dst[i] = 0
-	}
-	for i, off := range pk.off1 {
-		sig := pk.sig1[i]
-		b1 := pk.b11[i]
-		k := int(pk.col1[i])
-		lo, hi := pk.ctPtr[off], pk.ctPtr[off+1]
-		for s, theta := range thetas {
-			if errs[s] != nil {
-				continue
-			}
-			d := complex(sig, 0) - theta
-			if d == 0 {
-				errs[s] = mat.ErrSingular
-				continue
-			}
-			id := complex(b1, 0) / d
-			out := dst[s*pp+k*p : s*pp+(k+1)*p]
-			for t := lo; t < hi; t++ {
-				out[pk.ctIdx[t]] += scmul(pk.ctVal[t], id)
-			}
-		}
-	}
-	for i, off := range pk.off2 {
-		sig, w := pk.sig2[i], pk.om2[i]
-		b1, b2 := pk.b21[i], pk.b22[i]
-		k := int(pk.col2[i])
-		lo0, hi0 := pk.ctPtr[off], pk.ctPtr[off+1]
-		lo1, hi1 := pk.ctPtr[off+1], pk.ctPtr[off+2]
-		for s, theta := range thetas {
-			if errs[s] != nil {
-				continue
-			}
-			d := complex(sig, 0) - theta
-			det := d*d + complex(w*w, 0)
-			if det == 0 {
-				errs[s] = mat.ErrSingular
-				continue
-			}
-			idet := 1 / det
-			out := dst[s*pp+k*p : s*pp+(k+1)*p]
-			dr, di := real(d), imag(d)
-			for t := lo0; t < hi0; t++ {
-				c0 := pk.ctVal[t]
-				u, v := b1*c0, -b2*c0
-				out[pk.ctIdx[t]] += complex(dr*u+w*v, di*u) * idet
-			}
-			for t := lo1; t < hi1; t++ {
-				c1 := pk.ctVal[t]
-				u, v := b2*c1, b1*c1
-				out[pk.ctIdx[t]] += complex(dr*u+w*v, di*u) * idet
-			}
-		}
-	}
-}

@@ -169,8 +169,9 @@ const (
 // ShiftInvert calls (and, via the fleet engine, across jobs on the same
 // model). Results are bit-identical with or without one — the cache only
 // skips redundant SMW factorization work. Most callers never touch it
-// directly: SolverOptions.ShiftCacheSize and FleetOptions.ShiftCacheSize
-// manage attachment.
+// directly: SolverOptions.ShiftCacheSize manages a solve's attachment, and
+// every fleet engine shares one cache (4 × DefaultShiftCacheSize entries)
+// across its jobs.
 type ShiftCache = hamiltonian.ShiftCache
 
 // CacheStats is a snapshot of shift-factorization cache traffic (see
