@@ -56,9 +56,10 @@ type Config struct {
 	// steps so a sweep can end as soon as the caller has what it needs
 	// (the projected problem is tiny compared to the basis updates).
 	CheckEvery int
-	// StopEarly receives the current projected Hessenberg matrix, the
-	// next-vector coupling h_{j+1,j}, and the step count; returning true
-	// terminates the sweep at that dimension.
+	// StopEarly receives a copy of the current projected Hessenberg
+	// matrix (its own, so it may overwrite it), the next-vector coupling
+	// h_{j+1,j}, and the step count; returning true terminates the sweep
+	// at that dimension.
 	StopEarly func(h *mat.CDense, hNext float64, steps int) bool
 }
 

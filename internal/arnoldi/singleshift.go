@@ -170,7 +170,7 @@ func singleShift[T scalar](l lane[T], theta complex128, rho0 float64, params Sin
 		}
 		cfg.CheckEvery = 10
 		cfg.StopEarly = func(h *mat.CDense, hNext float64, steps int) bool {
-			vals, vecs, err := mat.CEig(h)
+			vals, lastAbs, err := mat.HessenbergRitzEstimates(h)
 			if err != nil {
 				return false
 			}
@@ -181,7 +181,7 @@ func singleShift[T scalar](l lane[T], theta complex128, rho0 float64, params Sin
 					continue
 				}
 				dist := 1 / cmplx.Abs(mu)
-				resid := hNext * cmplx.Abs(vecs.At(steps-1, idx))
+				resid := hNext * lastAbs[idx]
 				if resid <= params.Tol*cmplx.Abs(mu) {
 					newConv = append(newConv, dist)
 				} else if dist < minU {

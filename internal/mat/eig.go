@@ -47,15 +47,16 @@ type SchurResult struct {
 }
 
 // CSchur computes the complex Schur decomposition of the square matrix a.
-// If wantZ is false, Z is nil and only T/eigenvalues are produced.
+// If wantZ is false, Z is nil and only T/eigenvalues are produced; the
+// Hessenberg reduction then skips accumulating its Q, which never feeds T.
 func CSchur(a *CDense, wantZ bool) (*SchurResult, error) {
-	h, q := CHessenberg(a)
+	h, zt := hessenberg(a, wantZ)
+	if err := hessenbergQR(h, zt); err != nil {
+		return nil, err
+	}
 	var z *CDense
 	if wantZ {
-		z = q
-	}
-	if err := hessenbergQR(h, z); err != nil {
-		return nil, err
+		z = zt.T()
 	}
 	n := a.Rows
 	vals := make([]complex128, n)
@@ -66,9 +67,12 @@ func CSchur(a *CDense, wantZ bool) (*SchurResult, error) {
 }
 
 // hessenbergQR triangularizes the upper Hessenberg matrix h in place using
-// shifted QR iterations with Givens rotations, accumulating the unitary
-// transformations into z when z is non-nil.
-func hessenbergQR(h *CDense, z *CDense) error {
+// shifted QR iterations with Givens rotations. zt, when non-nil, holds the
+// rows of Z being accumulated, transposed: each column of zt is one row of
+// Z, so rotating two columns of Z is a pass over two contiguous rows of
+// zt. A full Zᵀ (n×n) accumulates every Schur vector; an n×1 zt tracks a
+// single row of Z, for callers that need no more.
+func hessenbergQR(h *CDense, zt *CDense) error {
 	n := h.Rows
 	if n == 0 {
 		return nil
@@ -125,54 +129,51 @@ func hessenbergQR(h *CDense, z *CDense) error {
 		// One implicit single-shift QR sweep on rows/cols lo..hi: the first
 		// rotation is taken from the shifted column, then the bulge is
 		// chased down the subdiagonal (implicit Q theorem).
-		gv := makeGivens(h.At(lo, lo)-shift, h.At(lo+1, lo))
-		applyGivensLeft(h, gv, lo, lo+1, lo, n-1)
-		top := lo + 2
-		if top > hi {
-			top = hi
-		}
-		applyGivensRight(h, gv, lo, lo+1, 0, top)
-		if z != nil {
-			applyGivensRight(z, gv, lo, lo+1, 0, z.Rows-1)
-		}
-		for k := lo + 1; k < hi; k++ {
-			gv = makeGivens(h.At(k, k-1), h.At(k+1, k-1))
-			applyGivensLeft(h, gv, k, k+1, k-1, n-1)
-			h.Set(k+1, k-1, 0)
-			top = k + 2
-			if top > hi {
-				top = hi
+		for k := lo; k < hi; k++ {
+			var gv givens
+			if k == lo {
+				gv = makeGivens(h.At(lo, lo)-shift, h.At(lo+1, lo))
+			} else {
+				gv = makeGivens(h.At(k, k-1), h.At(k+1, k-1))
 			}
-			applyGivensRight(h, gv, k, k+1, 0, top)
-			if z != nil {
-				applyGivensRight(z, gv, k, k+1, 0, z.Rows-1)
+			c := complex(gv.c, 0)
+			// Rows k, k+1 from column k-1 on (from lo for the first).
+			cLo := max(k-1, lo)
+			rotateRows(h.Data[k*n+cLo:(k+1)*n], h.Data[(k+1)*n+cLo:(k+2)*n], c, gv.s)
+			if k > lo {
+				h.Set(k+1, k-1, 0)
+			}
+			rotateColumnPair(h, k, min(k+2, hi), c, gv.s)
+			if zt != nil {
+				rotateRows(zt.Row(k), zt.Row(k+1), c, cmplx.Conj(gv.s))
 			}
 		}
 	}
 	return nil
 }
 
-// applyGivensLeft applies the rotation to rows (r1, r2) over columns
-// [cLo, cHi]: [row r1; row r2] ← G·[row r1; row r2].
-func applyGivensLeft(m *CDense, g givens, r1, r2, cLo, cHi int) {
-	c := complex(g.c, 0)
-	for j := cLo; j <= cHi; j++ {
-		a := m.At(r1, j)
-		b := m.At(r2, j)
-		m.Set(r1, j, c*a+g.s*b)
-		m.Set(r2, j, -cmplx.Conj(g.s)*a+c*b)
+// rotateRows applies the rotation [x; y] ← [c s; −s̄ c]·[x; y] to the
+// equal-length rows x and y.
+func rotateRows(x, y []complex128, c, s complex128) {
+	y = y[:len(x)]
+	ns := -cmplx.Conj(s)
+	for j, a := range x {
+		b := y[j]
+		x[j] = c*a + s*b
+		y[j] = ns*a + c*b
 	}
 }
 
-// applyGivensRight applies the conjugate rotation to columns (c1, c2) over
-// rows [rLo, rHi]: [col c1, col c2] ← [col c1, col c2]·Gᴴ.
-func applyGivensRight(m *CDense, g givens, c1, c2, rLo, rHi int) {
-	c := complex(g.c, 0)
-	for i := rLo; i <= rHi; i++ {
-		a := m.At(i, c1)
-		b := m.At(i, c2)
-		m.Set(i, c1, c*a+cmplx.Conj(g.s)*b)
-		m.Set(i, c2, -g.s*a+c*b)
+// rotateColumnPair applies the conjugate rotation to columns (j, j+1) of m
+// over rows [0, rHi]: [col j, col j+1] ← [col j, col j+1]·Gᴴ. The two
+// columns are adjacent, so each row's pair is contiguous.
+func rotateColumnPair(m *CDense, j, rHi int, c, s complex128) {
+	cs, ns := cmplx.Conj(s), -s
+	for i := 0; i <= rHi; i++ {
+		p := m.Data[i*m.Cols+j : i*m.Cols+j+2]
+		a, b := p[0], p[1]
+		p[0] = c*a + cs*b
+		p[1] = ns*a + c*b
 	}
 }
 
@@ -195,64 +196,125 @@ func EigValues(a *Dense) ([]complex128, error) {
 // matrix a. Column j of the returned matrix is a unit-norm eigenvector for
 // Values[j]. Eigenvectors of defective matrices are best-effort.
 func CEig(a *CDense) (values []complex128, vectors *CDense, err error) {
-	res, err := CSchur(a, true)
-	if err != nil {
+	t, zt := hessenberg(a, true)
+	if err := hessenbergQR(t, zt); err != nil {
 		return nil, nil, err
 	}
 	n := a.Rows
-	t, z := res.T, res.Z
+	values = make([]complex128, n)
 	vectors = NewCDense(n, n)
 	y := make([]complex128, n)
-	// Scale floor for near-singular diagonal differences.
+	x := make([]complex128, n)
+	small := schurFloor(t)
+	for k := 0; k < n; k++ {
+		values[k] = t.At(k, k)
+		triangularEigvec(t, k, small, y)
+		// Transform back: x = Z·y, walking the rows of Zᵀ, and normalize.
+		clear(x)
+		for j := 0; j <= k; j++ {
+			yj := y[j]
+			for i, z := range zt.Row(j) {
+				x[i] += z * yj
+			}
+		}
+		if nrm := CNorm2(x); nrm > 0 {
+			inv := complex(1/nrm, 0)
+			for i := range x {
+				x[i] *= inv
+			}
+		}
+		for i, xi := range x {
+			vectors.Data[i*n+k] = xi
+		}
+	}
+	return values, vectors, nil
+}
+
+// HessenbergRitzEstimates returns the eigenvalues of h, which must be upper
+// Hessenberg (zero below the subdiagonal), and, for each, |e_lastᵀ·x| for
+// its unit eigenvector x: what CEig reports as values and as the last row
+// of vectors, up to rounding, without CEig's Hessenberg reduction, Schur
+// vectors or eigenvector back-transform. Only the last row of Z is
+// accumulated, as ARPACK's zneigh does. It is the check an Arnoldi sweep
+// runs on its projected matrix, where the residual estimate of Ritz pair
+// i is h_{k+1,k}·lastAbs[i].
+//
+// h is overwritten: the two returned slices are the only allocations, so
+// h itself serves as scratch.
+func HessenbergRitzEstimates(h *CDense) (values []complex128, lastAbs []float64, err error) {
+	n := h.Rows
+	if h.Cols != n {
+		panic(fmt.Sprintf("mat: Ritz estimates of non-square %d×%d matrix", n, h.Cols))
+	}
+	values = make([]complex128, n)
+	lastAbs = make([]float64, n)
+	if n == 0 {
+		return values, lastAbs, nil
+	}
+	// Until the eigenvalues are read off, values holds Z's last row, an
+	// n×1 Zᵀ that starts as e_lastᵀ (no Hessenberg reduction: Q = I).
+	values[n-1] = 1
+	zl := CDense{Rows: n, Cols: 1, Data: values}
+	if err := hessenbergQR(h, &zl); err != nil {
+		return nil, nil, err
+	}
+	small := schurFloor(h)
+	// Eigenvector k of T is written over row k of h (T's zero strictly
+	// lower part plus its diagonal entry): back-substitution for k reads
+	// only rows above k, so walking k downwards never reads a row it has
+	// overwritten, and once k is done Z's last row is no longer needed at
+	// index k, so values[k] takes the eigenvalue.
+	for k := n - 1; k >= 0; k-- {
+		lambda := h.At(k, k)
+		y := h.Row(k)[:k+1]
+		triangularEigvec(h, k, small, y)
+		var s complex128
+		for j, yj := range y {
+			s += values[j] * yj
+		}
+		lastAbs[k] = cmplx.Abs(s) / CNorm2(y)
+		values[k] = lambda
+	}
+	return values, lastAbs, nil
+}
+
+// schurFloor is the scale floor for near-singular diagonal differences in
+// triangularEigvec: ε times the entrywise 1-norm of the upper triangle.
+func schurFloor(t *CDense) float64 {
+	n := t.Rows
 	var tnorm float64
 	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			tnorm += cmplx.Abs(t.At(i, j))
+		for _, v := range t.Data[i*n+i : (i+1)*n] {
+			tnorm += cmplx.Abs(v)
 		}
 	}
 	small := 2.2e-16 * tnorm
 	if small == 0 {
 		small = 2.2e-16
 	}
-	for k := 0; k < n; k++ {
-		lambda := t.At(k, k)
-		for i := range y {
-			y[i] = 0
+	return small
+}
+
+// triangularEigvec writes to y[:k+1] the eigenvector of the upper
+// triangular t for its diagonal entry k: y[k] = 1 and (T − λI)·y = 0 above
+// row k by back-substitution, with diagonal differences below small raised
+// to small. It reads t.At(k, k) before writing y and then only rows above
+// k, so y may alias row k of t.
+func triangularEigvec(t *CDense, k int, small float64, y []complex128) {
+	lambda := t.At(k, k)
+	y[k] = 1
+	for i := k - 1; i >= 0; i-- {
+		row := t.Row(i)
+		var s complex128
+		for j := i + 1; j <= k; j++ {
+			s += row[j] * y[j]
 		}
-		y[k] = 1
-		// Back-substitute (T − λI)·y = 0 above row k.
-		for i := k - 1; i >= 0; i-- {
-			var s complex128
-			for j := i + 1; j <= k; j++ {
-				s += t.At(i, j) * y[j]
-			}
-			d := t.At(i, i) - lambda
-			if cmplx.Abs(d) < small {
-				d = complex(small, 0)
-			}
-			y[i] = -s / d
+		d := row[i] - lambda
+		if cmplx.Abs(d) < small {
+			d = complex(small, 0)
 		}
-		// Transform back: x = Z·y and normalize.
-		for i := 0; i < n; i++ {
-			var s complex128
-			for j := 0; j <= k; j++ {
-				s += z.At(i, j) * y[j]
-			}
-			vectors.Set(i, k, s)
-		}
-		col := make([]complex128, n)
-		for i := 0; i < n; i++ {
-			col[i] = vectors.At(i, k)
-		}
-		nrm := CNorm2(col)
-		if nrm > 0 {
-			inv := complex(1/nrm, 0)
-			for i := 0; i < n; i++ {
-				vectors.Set(i, k, vectors.At(i, k)*inv)
-			}
-		}
+		y[i] = -s / d
 	}
-	return res.Values, vectors, nil
 }
 
 // CInverseIteration refines an eigenvector of a for the approximate

@@ -263,3 +263,33 @@ func TestHessenbergQREmptyAndTiny(t *testing.T) {
 		t.Fatalf("1×1: %v %v", v, err)
 	}
 }
+
+// TestHessenbergRitzEstimatesAllocatesOnlyOutputs pins the StopEarly
+// check's allocation budget: the two returned slices and nothing else.
+func TestHessenbergRitzEstimatesAllocatesOnlyOutputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	h := arnoldiShapedHessenberg(rng, 40)
+	work := NewCDense(40, 40)
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(work.Data, h.Data)
+		if _, _, err := HessenbergRitzEstimates(work); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("%v allocations per call, want 2", allocs)
+	}
+}
+
+func TestHessenbergRitzEstimatesTiny(t *testing.T) {
+	vals, lastAbs, err := HessenbergRitzEstimates(NewCDense(0, 0))
+	if err != nil || len(vals) != 0 || len(lastAbs) != 0 {
+		t.Fatalf("0×0: %v %v %v", vals, lastAbs, err)
+	}
+	one := NewCDense(1, 1)
+	one.Set(0, 0, complex(3, 4))
+	vals, lastAbs, err = HessenbergRitzEstimates(one)
+	if err != nil || vals[0] != complex(3, 4) || lastAbs[0] != 1 {
+		t.Fatalf("1×1: %v %v %v", vals, lastAbs, err)
+	}
+}
