@@ -7,8 +7,8 @@
 // Under -short (and in plain `go test -bench=.` runs with the default
 // -benchtime) the harness uses reduced-size stand-ins for the twelve cases
 // so the suite completes in minutes; `go test -bench BenchmarkTableI
-// -benchfull` (custom flag) runs the paper-size cases, and cmd/benchtable /
-// cmd/speedup print the full paper-formatted outputs.
+// -benchfull` (custom flag) runs the paper-size cases, and cmd/benchtable
+// (Table I; Fig. 6 with -fig6) prints the full paper-formatted outputs.
 package repro_test
 
 import (

@@ -8,7 +8,14 @@
 // all cases solve in seconds, with substantial (occasionally superlinear)
 // speedups from the dynamic shift scheduler.
 //
+// With -fig6 it regenerates Fig. 6 instead: the speedup η_t = τ̄₁/τ_t for
+// every thread count t = 1…-threads, with mean and standard deviation over
+// -runs independent runs, printed as a series and as an ASCII plot against
+// the ideal line. -cases then defaults to the paper's Case 5, and no JSON
+// is written.
+//
 //	benchtable -threads 16 -runs 3 -cases 1,2,3
+//	benchtable -fig6 -threads 16 -runs 20
 package main
 
 import (
@@ -16,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -43,15 +51,19 @@ type tableRow struct {
 }
 
 func main() {
-	threads := flag.Int("threads", min(16, runtime.NumCPU()), "parallel thread count T")
-	runs := flag.Int("runs", 3, "independent runs for the parallel mean/worst-case")
+	threads := flag.Int("threads", min(16, runtime.NumCPU()), "parallel thread count T (with -fig6: the largest thread count)")
+	runs := flag.Int("runs", 3, "independent runs for the parallel mean/worst-case (with -fig6: per thread count and for τ̄₁)")
 	serialRuns := flag.Int("serialruns", 1, "runs for the serial reference")
 	cases := flag.String("cases", "", "comma-separated case IDs (default: all twelve)")
 	cacheDir := flag.String("cache", "testdata/cases", "model cache directory")
-	jsonOut := flag.String("json", "BENCH_table1.json", "machine-readable output file (empty to disable)")
+	jsonOut := flag.String("json", "BENCH_table1.json", "machine-readable output file (empty to disable; ignored with -fig6)")
+	fig6 := flag.Bool("fig6", false, "regenerate Fig. 6 (speedup vs thread count) instead of Table I")
 	flag.Parse()
 
 	specs := repro.TableICases()
+	if *fig6 && *cases == "" {
+		*cases = "5" // the paper's Fig. 6 case
+	}
 	if *cases != "" {
 		var sel []repro.CaseSpec
 		for _, tok := range strings.Split(*cases, ",") {
@@ -66,6 +78,17 @@ func main() {
 			sel = append(sel, spec)
 		}
 		specs = sel
+	}
+
+	if *fig6 {
+		for _, spec := range specs {
+			model, err := statespace.CachedCase(spec, *cacheDir)
+			if err != nil {
+				log.Fatalf("case %d: %v", spec.ID, err)
+			}
+			speedupSweep(spec, model, *runs, *threads)
+		}
+		return
 	}
 
 	fmt.Printf("Table I reproduction — T=%d threads, %d parallel runs (host: %d cores)\n",
@@ -134,9 +157,82 @@ func main() {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// speedupSweep prints Fig. 6 for one case: η_t = τ̄₁/τ_t per thread count
+// t = 1…maxT as mean ± σ over runs, then an ASCII plot against the ideal
+// line. The serial reference τ̄₁ is averaged over the same number of runs.
+func speedupSweep(spec repro.CaseSpec, model *repro.Model, runs, maxT int) {
+	fmt.Printf("Fig. 6 reproduction — Case %d (n=%d, p=%d), %d runs per point\n",
+		spec.ID, spec.N, spec.P, runs)
+
+	var tau1 float64
+	for r := 0; r < runs; r++ {
+		start := time.Now()
+		if _, err := repro.FindImagEigs(model, repro.SolverOptions{Threads: 1, Seed: int64(100 + r)}); err != nil {
+			log.Fatal(err)
+		}
+		tau1 += time.Since(start).Seconds()
 	}
-	return b
+	tau1 /= float64(runs)
+	fmt.Printf("serial reference τ̄₁ = %.3fs\n\n", tau1)
+
+	type point struct {
+		t    int
+		mean float64
+		std  float64
+	}
+	var pts []point
+	fmt.Printf("%7s %10s %10s %8s\n", "threads", "η̄ (mean)", "σ (std)", "ideal")
+	for t := 1; t <= maxT; t++ {
+		etas := make([]float64, runs)
+		for r := 0; r < runs; r++ {
+			start := time.Now()
+			if _, err := repro.FindImagEigs(model, repro.SolverOptions{Threads: t, Seed: int64(1000*t + r)}); err != nil {
+				log.Fatal(err)
+			}
+			etas[r] = tau1 / time.Since(start).Seconds()
+		}
+		var mean float64
+		for _, e := range etas {
+			mean += e
+		}
+		mean /= float64(runs)
+		var varr float64
+		for _, e := range etas {
+			varr += (e - mean) * (e - mean)
+		}
+		std := math.Sqrt(varr / float64(runs))
+		pts = append(pts, point{t, mean, std})
+		fmt.Printf("%7d %10.2f %10.2f %8d\n", t, mean, std, t)
+	}
+
+	// ASCII plot: speedup vs threads against the ideal diagonal.
+	fmt.Println("\nspeedup vs threads ('o' measured ±σ bar, '.' ideal):")
+	maxY := float64(maxT) + 1
+	height := 18
+	for row := height; row >= 0; row-- {
+		y := maxY * float64(row) / float64(height)
+		line := make([]byte, maxT*4+2)
+		for i := range line {
+			line[i] = ' '
+		}
+		for _, p := range pts {
+			x := (p.t - 1) * 4
+			if math.Abs(float64(p.t)-y) < maxY/float64(2*height) {
+				line[x] = '.'
+			}
+			if p.mean-p.std <= y && y <= p.mean+p.std {
+				line[x] = '|'
+			}
+			if math.Abs(p.mean-y) < maxY/float64(2*height) {
+				line[x] = 'o'
+			}
+		}
+		fmt.Printf("%5.1f %s\n", y, strings.TrimRight(string(line), " "))
+	}
+	fmt.Printf("      %s\n", strings.Repeat("-", maxT*4))
+	fmt.Print("      ")
+	for t := 1; t <= maxT; t++ {
+		fmt.Printf("%-4d", t)
+	}
+	fmt.Println()
 }

@@ -8,29 +8,25 @@
 //     -workers threads. Wall time is the makespan; per-case crossings must
 //     come out bit-identical to the solo run (the canonical-polish
 //     guarantee in core.collect).
-//  3. Warm-start A/B — enforcement on a violating case with and without
-//     warm-started re-characterizations, reporting the drop in total
-//     Stats.ShiftsProcessed.
-//  4. Shift-cache A/B — the same enforcement with the shift-factorization
+//  3. Shift-cache A/B — an enforcement run with the shift-factorization
 //     cache off (every shift refactors) vs on (an LRU over SMW factors),
 //     asserting bit-identical crossings and reporting the hit rate and
 //     wall-time delta.
-//  5. Priority + admission — batch enforcement jobs fill a bounded-
+//  4. Priority + admission — batch enforcement jobs fill a bounded-
 //     admission engine, then an interactive characterization submitted
 //     mid-batch must overtake the queued batch work and finish first; a
 //     fail-fast engine at its cap must reject the over-cap submit.
-//  6. Vector Fitting A/B — a synthetic many-port sweep fitted with one
+//  5. Vector Fitting A/B — a synthetic many-port sweep fitted with one
 //     worker vs the full pool (pool-routed PhaseFit column batches),
 //     asserting the fitted models are bit-identical and reporting the
 //     wall-time win (the BenchmarkSnpcheckFit scenario).
-//  7. Half-path A/B — reciprocal Table-I variants characterized with the
+//  6. Half-path A/B — reciprocal Table-I variants characterized with the
 //     full 2n×2n Hamiltonian (HalfOff) vs the half-size squared
 //     eigenproblem (HalfAuto), asserting crossing agreement within
 //     1e-9·ω_max and reporting the per-case speedup.
-//  8. Sparse-backend A/B — a synthetic n≥10⁴ model with port-local
-//     residues characterized with the packed-dense vs the CSR sparse
-//     kernels, asserting crossing agreement within 1e-9·ω_max and that
-//     BackendAuto resolves to sparse for this structure.
+//  7. Checkpoint resume — shrunk Table-I cases re-submitted from the first
+//     half of their checkpoint stream, asserting bit-identical crossings
+//     from strictly fewer shifts.
 //
 // The fleet phase also reports per-phase pool utilization (eig / probe /
 // constraint / refine task counts and worker-busy share), so the
@@ -40,7 +36,7 @@
 // Results go to stdout and to -json (BENCH_fleet.json) so the throughput
 // trajectory stays trackable across PRs.
 //
-//	fleetbench -workers 16 -cases 1,2,3 -warmcase 2
+//	fleetbench -workers 16 -cases 1,2,3 -cachecase 2
 package main
 
 import (
@@ -126,17 +122,6 @@ type caseRow struct {
 	WorstSigma     float64 `json:"worst_sigma"`
 }
 
-type warmRow struct {
-	Case          int     `json:"case"`
-	ColdShifts    int     `json:"cold_shifts"`
-	WarmShifts    int     `json:"warm_shifts"`
-	ShiftsSavedPC float64 `json:"shifts_saved_pct"`
-	ColdNS        int64   `json:"cold_ns"`
-	WarmNS        int64   `json:"warm_ns"`
-	Iterations    int     `json:"iterations"`
-	Passive       bool    `json:"passive"`
-}
-
 type phaseRow struct {
 	Phase       string  `json:"phase"`
 	Tasks       int     `json:"tasks"`
@@ -193,21 +178,6 @@ type halfRow struct {
 	HalfPath    bool    `json:"half_path"`       // Report.HalfPath of the half leg
 }
 
-type sparseRow struct {
-	N             int     `json:"n"`
-	P             int     `json:"p"`
-	SparsePorts   int     `json:"sparse_ports"`
-	DenseNS       int64   `json:"packed_dense_ns"`
-	SparseNS      int64   `json:"sparse_ns"`
-	Speedup       float64 `json:"speedup"`
-	DenseBackend  string  `json:"packed_dense_backend"`
-	SparseBackend string  `json:"sparse_backend"`
-	AutoBackend   string  `json:"auto_backend"` // what BackendAuto resolves to
-	Nlambda       int     `json:"nlambda"`
-	NlambdaDense  int     `json:"nlambda_dense"`
-	Agree         bool    `json:"crossings_agree"` // within 1e-9·ω_max
-}
-
 type resumeRow struct {
 	Case          int     `json:"case"`
 	N             int     `json:"n"`
@@ -235,12 +205,10 @@ type benchOut struct {
 	FleetCacheHits   uint64       `json:"fleet_cache_hits"` // engine-wide shift-cache totals for the fleet run
 	FleetCacheMisses uint64       `json:"fleet_cache_misses"`
 	Phases           []phaseRow   `json:"fleet_phase_utilization"`
-	WarmStart        *warmRow     `json:"warmstart,omitempty"`
 	Cache            *cacheRow    `json:"cache,omitempty"`
 	Priority         *priorityRow `json:"priority,omitempty"`
 	VectFit          *vfRow       `json:"vectfit,omitempty"`
 	HalfPath         []halfRow    `json:"halfpath,omitempty"`
-	Sparse           *sparseRow   `json:"sparse,omitempty"`
 	Resume           []resumeRow  `json:"resume,omitempty"`
 }
 
@@ -249,12 +217,10 @@ func main() {
 	cases := flag.String("cases", "", "comma-separated case IDs (default: all twelve)")
 	cacheDir := flag.String("cache", "testdata/cases", "model cache directory")
 	jsonOut := flag.String("json", "BENCH_fleet.json", "machine-readable output file (empty to disable)")
-	warmCase := flag.Int("warmcase", 2, "violating Table-I case for the warm-start A/B (0 to skip)")
 	cacheCase := flag.Int("cachecase", 2, "violating Table-I case for the shift-cache on/off enforcement A/B (0 to skip)")
 	prioCase := flag.Int("priocase", 2, "violating Table-I case for the batch jobs of the priority/admission demo (0 to skip)")
 	vfPorts := flag.Int("vfports", 8, "port count of the synthetic sweep for the Vector Fitting A/B (0 to skip)")
 	halfAB := flag.Bool("half", true, "run the half-path A/B on the reciprocal Table-I variants")
-	sparseOrder := flag.Int("sparseorder", 10000, "dynamic order of the synthetic large-n case for the sparse-backend A/B (0 to skip)")
 	resumeOrder := flag.Int("resumeorder", 125, "shrunk order for the checkpoint-resume A/B on Table-I cases 1-3 (0 to skip)")
 	flag.Parse()
 
@@ -404,44 +370,7 @@ func main() {
 		float64(out.SoloWallNS)/1e9, float64(out.FleetWallNS)/1e9,
 		out.Speedup, out.ThroughputJobsS, out.AllBitIdentical)
 
-	// Phase 3: warm-start A/B on a violating case.
-	if *warmCase > 0 {
-		spec, err := repro.FindCase(*warmCase)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err := statespace.CachedCase(spec, *cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		run := func(cold bool) (*repro.EnforceReport, int64) {
-			start := time.Now()
-			_, rep, err := repro.Enforce(m, repro.EnforceOptions{
-				Char: charOpts(), ColdStart: cold,
-			})
-			if err != nil {
-				log.Fatalf("enforce (cold=%v) case %d: %v", cold, spec.ID, err)
-			}
-			return rep, time.Since(start).Nanoseconds()
-		}
-		coldRep, coldNS := run(true)
-		warmRep, warmNS := run(false)
-		w := warmRow{
-			Case:       spec.ID,
-			ColdShifts: coldRep.SolverTotals.ShiftsProcessed,
-			WarmShifts: warmRep.SolverTotals.ShiftsProcessed,
-			ColdNS:     coldNS, WarmNS: warmNS,
-			Iterations: warmRep.Iterations,
-			Passive:    warmRep.FinalReport.Passive,
-		}
-		w.ShiftsSavedPC = 100 * (1 - float64(w.WarmShifts)/float64(w.ColdShifts))
-		out.WarmStart = &w
-		fmt.Printf("warm-start A/B (case %d, %d iterations): shifts cold %d → warm %d (%.1f%% saved), time %.3fs → %.3fs\n",
-			w.Case, w.Iterations, w.ColdShifts, w.WarmShifts, w.ShiftsSavedPC,
-			float64(w.ColdNS)/1e9, float64(w.WarmNS)/1e9)
-	}
-
-	// Phase 4: shift-cache on/off A/B — the same enforcement run with the
+	// Phase 3: shift-cache on/off A/B — the same enforcement run with the
 	// factorization cache disabled (every shift refactors from scratch) vs
 	// enabled through an operator cache, asserting the final crossings are
 	// bit-identical and reporting the hit rate and the wall-time delta the
@@ -487,7 +416,7 @@ func main() {
 			cr.Hits, cr.Misses, 100*cr.HitRate, cr.Evictions, cr.BitIdentical)
 	}
 
-	// Phase 5: priority + admission demo. Batch enforcement jobs fill a
+	// Phase 4: priority + admission demo. Batch enforcement jobs fill a
 	// bounded-admission engine; an interactive characterization submitted
 	// mid-batch must overtake the queued batch work.
 	if *prioCase > 0 {
@@ -566,7 +495,7 @@ func main() {
 			nBatch, spec.ID, pr.Overtook, pr.OvertakeFactor, pr.FailFastRejected)
 	}
 
-	// Phase 6: Vector Fitting A/B — one worker vs the pool on a synthetic
+	// Phase 5: Vector Fitting A/B — one worker vs the pool on a synthetic
 	// many-port sweep (the per-column PhaseFit batches of vectfit.Fitter).
 	if *vfPorts > 0 {
 		const vfOrder, vfSamples = 6, 40
@@ -608,9 +537,9 @@ func main() {
 	}
 
 	// crossingsAgree checks two crossing lists pairwise against the
-	// cross-backend/cross-path tolerance 1e-9·ω_max: the two legs solve
-	// different eigenproblems (full vs squared; dense vs sparse kernels),
-	// so agreement is to round-off, not bit-exact.
+	// cross-path tolerance 1e-9·ω_max: the two legs solve different
+	// eigenproblems (full vs squared), so agreement is to round-off, not
+	// bit-exact.
 	crossingsAgree := func(a, b *repro.Report) bool {
 		if len(a.Crossings) != len(b.Crossings) {
 			return false
@@ -624,7 +553,7 @@ func main() {
 		return true
 	}
 
-	// Phase 7: half-path A/B — the reciprocal Table-I variants characterized
+	// Phase 6: half-path A/B — the reciprocal Table-I variants characterized
 	// with the half-size squared eigenproblem (HalfAuto engages on detected
 	// reciprocity) vs the full 2n×2n path forced with HalfOff. Crossings
 	// must agree within 1e-9·ω_max; the half leg should win ≥1.5× on the
@@ -662,49 +591,7 @@ func main() {
 		}
 	}
 
-	// Phase 8: sparse-backend A/B — a synthetic n≥10⁴ model with port-local
-	// residues (banded C), characterized with the packed-dense kernels vs
-	// the CSR sparse kernels. BackendAuto resolves to sparse for this
-	// structure; crossings must agree within 1e-9·ω_max.
-	if *sparseOrder > 0 {
-		const sparsePorts, portsPerCol = 40, 2
-		spec := repro.CaseSpec{
-			ID: 200, N: *sparseOrder, P: sparsePorts, TargetPeak: 1.02,
-			Seed: 200, SparsePorts: portsPerCol,
-		}
-		m, err := statespace.CachedCase(spec, *cacheDir)
-		if err != nil {
-			log.Fatalf("sparse case: %v", err)
-		}
-		leg := func(b repro.Backend) (*repro.Report, int64) {
-			opts := charOpts()
-			opts.Backend = b
-			start := time.Now()
-			rep, err := repro.Characterize(m, opts)
-			if err != nil {
-				log.Fatalf("sparse A/B (backend %v): %v", b, err)
-			}
-			return rep, time.Since(start).Nanoseconds()
-		}
-		denseRep, denseNS := leg(repro.BackendPackedDense)
-		sparseRep, sparseNS := leg(repro.BackendSparse)
-		m.SetBackend(repro.BackendAuto)
-		sr := sparseRow{
-			N: m.Order(), P: sparsePorts, SparsePorts: portsPerCol,
-			DenseNS: denseNS, SparseNS: sparseNS,
-			Speedup:      float64(denseNS) / float64(sparseNS),
-			DenseBackend: denseRep.Backend.String(), SparseBackend: sparseRep.Backend.String(),
-			AutoBackend: m.ActiveBackend().String(),
-			Nlambda:     len(sparseRep.Crossings), NlambdaDense: len(denseRep.Crossings),
-			Agree: crossingsAgree(denseRep, sparseRep),
-		}
-		out.Sparse = &sr
-		fmt.Printf("sparse A/B (n=%d, p=%d, %d ports/col): %.3fs packed-dense → %.3fs sparse (%.2fx), auto resolves to %s, Nλ %d vs %d, agree@1e-9ωmax: %v\n",
-			sr.N, sr.P, portsPerCol, float64(denseNS)/1e9, float64(sparseNS)/1e9, sr.Speedup,
-			sr.AutoBackend, sr.NlambdaDense, sr.Nlambda, sr.Agree)
-	}
-
-	// Phase 9: checkpoint-resume A/B — the durable-store restart economics
+	// Phase 7: checkpoint-resume A/B — the durable-store restart economics
 	// on shrunk Table-I cases. Each case is solved cold on the fleet engine
 	// while its per-shift checkpoint stream is recorded; the first half of
 	// the stream (in sequence order — callbacks land out of order) is folded

@@ -115,10 +115,7 @@ func (p *Pool) Submit(ctx context.Context, op *hamiltonian.Op, opts Options) (*J
 		}
 		ivs = restoreIntervals(rs.Tentative)
 	} else {
-		ivs = warmIntervals(opts.OmegaMin, omegaMax, opts.InitialShifts, opts.Kappa*opts.Threads)
-		if len(ivs) == 0 {
-			ivs = initialIntervals(opts.OmegaMin, omegaMax, opts.Kappa*opts.Threads)
-		}
+		ivs = initialIntervals(opts.OmegaMin, omegaMax, opts.Kappa*opts.Threads)
 	}
 	p.mu.Lock()
 	if p.closed {

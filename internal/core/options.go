@@ -76,13 +76,6 @@ type Options struct {
 	// the model's kernel epoch, so results are bit-identical with the
 	// cache on, off, or thrashing.
 	ShiftCacheSize int
-	// InitialShifts warm-starts the scheduler: instead of the κT uniform
-	// subdivision, the startup intervals are cut around these shift
-	// locations (see warmIntervals). Used by passivity enforcement to seed
-	// iteration k+1 from iteration k's crossings. Entries outside the band
-	// are ignored; an empty or fully-ignored list falls back to the cold
-	// start. Ignored by the serial-bisection and static-grid baselines.
-	InitialShifts []float64
 	// Pool optionally points at a shared worker pool: the solve then runs
 	// as one job among many on that pool's workers and Threads only sets
 	// the startup interval count N = κT (defaulting to the pool width).
@@ -123,15 +116,14 @@ type Options struct {
 	// static-grid baselines.
 	Checkpoint func(Checkpoint)
 	// Resume, when non-nil, seeds the solve from a persisted checkpoint
-	// prefix instead of a cold start: the ω_max estimate is skipped, the
-	// tentative interval set (IDs and float bits preserved) replaces the
-	// startup subdivision, and the committed shifts of the prefix are
-	// preloaded into the Result. A resumed run is one more admissible
-	// schedule of the same solve, so its reported crossings are
+	// prefix instead of the startup κT subdivision: the ω_max estimate is
+	// skipped, the tentative interval set (IDs and float bits preserved)
+	// replaces the startup intervals, and the committed shifts of the
+	// prefix are preloaded into the Result. A resumed run is one more
+	// admissible schedule of the same solve, so its reported crossings are
 	// bit-identical to an uninterrupted run's while re-executing only the
 	// shifts the prefix had not committed. Checkpoint emission (if also
-	// set) continues at Resume.Seq+1. OmegaMax and InitialShifts are
-	// ignored when resuming.
+	// set) continues at Resume.Seq+1. OmegaMax is ignored when resuming.
 	Resume *ResumeState
 }
 
@@ -181,11 +173,6 @@ func (o *Options) validate() error {
 		return fmt.Errorf("core: OmegaMin must be finite and ≥ 0, got %g", o.OmegaMin)
 	case !(o.OmegaMax >= 0) || math.IsInf(o.OmegaMax, 1):
 		return fmt.Errorf("core: OmegaMax must be finite and ≥ 0, got %g", o.OmegaMax)
-	}
-	for _, s := range o.InitialShifts {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return fmt.Errorf("core: non-finite initial shift %g", s)
-		}
 	}
 	return o.Arnoldi.Validate()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/hamiltonian"
 )
@@ -73,68 +72,6 @@ func initialIntervals(omegaMin, omegaMax float64, n int) []*interval {
 	order = append(order, ivs[0], ivs[n-1])
 	order = append(order, ivs[1:n-1]...)
 	return order
-}
-
-// warmIntervals builds the startup interval set from caller-provided shift
-// locations (Options.InitialShifts): the band is cut at the midpoints
-// between consecutive warm shifts, and each interval's tentative shift sits
-// at the warm location instead of the midpoint. A warm-started enforcement
-// re-characterization passes the previous iteration's crossings here —
-// violations only shrink under residue perturbation, so prior crossings
-// are near-optimal shift locations and far fewer shifts are needed than
-// the cold-start κT subdivision.
-//
-// Shifts outside the band are dropped; near-duplicates (closer than the
-// band width over maxN) are merged into their mean so a dense crossing
-// cluster does not inflate the startup set beyond the cold-start count.
-// Returns nil when no usable shift survives (callers fall back to
-// initialIntervals). Coverage of the whole band is guaranteed regardless
-// of shift placement by the completion update, which re-queues every
-// uncovered remainder.
-func warmIntervals(omegaMin, omegaMax float64, shifts []float64, maxN int) []*interval {
-	if len(shifts) == 0 {
-		return nil
-	}
-	if maxN < 2 {
-		maxN = 2
-	}
-	span := omegaMax - omegaMin
-	ws := make([]float64, 0, len(shifts))
-	for _, s := range shifts {
-		if s >= omegaMin && s <= omegaMax {
-			ws = append(ws, s)
-		}
-	}
-	if len(ws) == 0 {
-		return nil
-	}
-	sort.Float64s(ws)
-	// Greedy clustering: merge runs of shifts closer than span/maxN.
-	minSep := span / float64(maxN)
-	var merged []float64
-	sum, count := ws[0], 1
-	for _, s := range ws[1:] {
-		if s-sum/float64(count) < minSep {
-			sum += s
-			count++
-			continue
-		}
-		merged = append(merged, sum/float64(count))
-		sum, count = s, 1
-	}
-	merged = append(merged, sum/float64(count))
-
-	ivs := make([]*interval, len(merged))
-	lo := omegaMin
-	for i, s := range merged {
-		hi := omegaMax
-		if i+1 < len(merged) {
-			hi = 0.5 * (s + merged[i+1])
-		}
-		ivs[i] = &interval{lo: lo, hi: hi, shift: s}
-		lo = hi
-	}
-	return ivs
 }
 
 // Solve runs the parallel multi-shift Hamiltonian eigensolver of Sec. IV

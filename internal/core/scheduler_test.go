@@ -271,44 +271,3 @@ func TestSchedulerFailAfterFinishIsNoop(t *testing.T) {
 		t.Fatalf("failLocked overwrote a finished job's success with %v", j.err)
 	}
 }
-
-func TestWarmIntervalsCoverBandWithShiftsAtCrossings(t *testing.T) {
-	shifts := []float64{10, 30, 90}
-	ivs := warmIntervals(0, 100, shifts, 16)
-	if len(ivs) != 3 {
-		t.Fatalf("got %d intervals, want 3", len(ivs))
-	}
-	// Contiguous cover of the whole band, shifts at the warm locations.
-	if ivs[0].lo != 0 || ivs[len(ivs)-1].hi != 100 {
-		t.Fatalf("band edges not covered: %+v", ivs)
-	}
-	for i, iv := range ivs {
-		if iv.shift != shifts[i] {
-			t.Fatalf("interval %d shift %g, want %g", i, iv.shift, shifts[i])
-		}
-		if iv.shift < iv.lo || iv.shift > iv.hi {
-			t.Fatalf("shift %g outside its interval [%g, %g]", iv.shift, iv.lo, iv.hi)
-		}
-		if i > 0 && math.Abs(iv.lo-ivs[i-1].hi) > 1e-12 {
-			t.Fatalf("gap between intervals %d and %d", i-1, i)
-		}
-	}
-}
-
-func TestWarmIntervalsClusterAndClamp(t *testing.T) {
-	// Out-of-band shifts dropped; a dense cluster merges to one interval.
-	ivs := warmIntervals(0, 100, []float64{-5, 50, 50.001, 50.002, 300}, 8)
-	if len(ivs) != 1 {
-		t.Fatalf("got %d intervals, want 1 merged cluster: %+v", len(ivs), ivs)
-	}
-	if math.Abs(ivs[0].shift-50.001) > 1e-9 {
-		t.Fatalf("merged shift %g, want cluster mean 50.001", ivs[0].shift)
-	}
-	// Nothing usable: callers fall back to the cold start.
-	if warmIntervals(0, 100, []float64{-1, 101}, 8) != nil {
-		t.Fatal("expected nil for fully out-of-band shifts")
-	}
-	if warmIntervals(0, 100, nil, 8) != nil {
-		t.Fatal("expected nil for empty shift list")
-	}
-}

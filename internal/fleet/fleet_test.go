@@ -137,56 +137,6 @@ func TestFleetCancellationNoGoroutineLeak(t *testing.T) {
 	t.Fatalf("goroutine leak: %d before, %d after close", before, runtime.NumGoroutine())
 }
 
-// TestFleetWarmEnforceMatchesCold: warm-started enforcement (the default)
-// must converge to the same enforced model as a cold-start run.
-func TestFleetWarmEnforceMatchesCold(t *testing.T) {
-	mkOpts := func(cold bool) *passivity.EnforceOptions {
-		return &passivity.EnforceOptions{Char: charOpts(2), ColdStart: cold}
-	}
-	e := New(4)
-	defer e.Close()
-	jWarm, err := e.Submit(context.Background(), Request{
-		Model: genModel(t, 89, 22, 1.05), Enforce: mkOpts(false),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jCold, err := e.Submit(context.Background(), Request{
-		Model: genModel(t, 89, 22, 1.05), Enforce: mkOpts(true),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := jWarm.Wait()
-	if err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-	cold, err := jCold.Wait()
-	if err != nil {
-		t.Fatalf("cold: %v", err)
-	}
-	if !warm.Report.Passive || !cold.Report.Passive {
-		t.Fatal("enforcement did not reach passivity")
-	}
-	if warm.EnforceReport.Iterations != cold.EnforceReport.Iterations {
-		t.Fatalf("iteration counts diverged: warm %d, cold %d",
-			warm.EnforceReport.Iterations, cold.EnforceReport.Iterations)
-	}
-	// Same perturbed model: the warm start changes only shift placement,
-	// never the characterization outcome the perturbation is built from.
-	for k := range warm.Model.Cols {
-		if !warm.Model.Cols[k].C.Equalish(cold.Model.Cols[k].C, 1e-12) {
-			t.Fatalf("column %d residues diverged between warm and cold enforcement", k)
-		}
-	}
-	// The point of the warm start: it must not cost more solver work.
-	w, c := warm.EnforceReport.SolverTotals.ShiftsProcessed, cold.EnforceReport.SolverTotals.ShiftsProcessed
-	t.Logf("ShiftsProcessed: warm %d, cold %d", w, c)
-	if w > c {
-		t.Fatalf("warm start processed MORE shifts than cold start: %d > %d", w, c)
-	}
-}
-
 // TestFleetSubmitAfterClose: Submit on a closed engine fails cleanly.
 func TestFleetSubmitAfterClose(t *testing.T) {
 	e := New(1)

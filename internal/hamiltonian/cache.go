@@ -5,8 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/statespace"
 )
 
 // ShiftCache memoizes factored shift-invert state (shiftFactor) across
@@ -47,17 +45,14 @@ type ShiftCache struct {
 }
 
 // shiftKey identifies one factorization: which operator, which kernel
-// generation, which compute backend, which exact shift. The backend
-// component is belt-and-braces — SetBackend also bumps the kernel epoch —
-// but makes the invariant local: a factor built against one backend's
-// floating-point stream can never be served to another. HalfOps key with
-// their own opID, so half- and full-path factors of the same model never
-// collide either.
+// generation, which exact shift. The kernel backend needs no component of
+// its own: the dispatcher derives it from the model's structure, which
+// changes only under a kernel-epoch bump. HalfOps key with their own opID,
+// so half- and full-path factors of the same model never collide either.
 type shiftKey struct {
-	opID    uint64
-	epoch   uint64
-	backend statespace.Backend
-	re, im  uint64 // math.Float64bits of the shift
+	opID   uint64
+	epoch  uint64
+	re, im uint64 // math.Float64bits of the shift
 }
 
 type cacheEntry struct {
@@ -112,11 +107,10 @@ func (c *ShiftCache) Len() int {
 
 func shiftKeyFor(op *Op, theta complex128) shiftKey {
 	return shiftKey{
-		opID:    op.id,
-		epoch:   op.Model.KernelEpoch(),
-		backend: op.Model.ActiveBackend(),
-		re:      math.Float64bits(real(theta)),
-		im:      math.Float64bits(imag(theta)),
+		opID:  op.id,
+		epoch: op.Model.KernelEpoch(),
+		re:    math.Float64bits(real(theta)),
+		im:    math.Float64bits(imag(theta)),
 	}
 }
 

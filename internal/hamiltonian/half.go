@@ -202,14 +202,13 @@ func (h *HalfOp) getHalfPanel() []float64 {
 }
 
 // shiftKeyFor keys a half-path factorization: the HalfOp's own identity
-// plus the model's kernel epoch, active backend and exact shift bits.
+// plus the model's kernel epoch and exact shift bits.
 func (h *HalfOp) shiftKeyFor(tau complex128) shiftKey {
 	return shiftKey{
-		opID:    h.id,
-		epoch:   h.op.Model.KernelEpoch(),
-		backend: h.op.Model.ActiveBackend(),
-		re:      math.Float64bits(real(tau)),
-		im:      math.Float64bits(imag(tau)),
+		opID:  h.id,
+		epoch: h.op.Model.KernelEpoch(),
+		re:    math.Float64bits(real(tau)),
+		im:    math.Float64bits(imag(tau)),
 	}
 }
 

@@ -60,66 +60,51 @@ func TestHalfPathMatchesFullOnReciprocalCases(t *testing.T) {
 }
 
 // TestBackendBitIdentityAcrossThreadsAndCache pins the determinism
-// contract of the kernel backends: for a FIXED backend, crossings are
-// bit-identical across worker counts {1, 2, 8} and with the shift-
-// factorization cache off and on; across backends, counts match and
-// frequencies agree within 1e-9·ω_max.
+// contract of the sparse backend at the size where the dispatcher picks
+// it: a banded model at n ≥ 512 must auto-resolve to CSR, its crossings
+// must be bit-identical across worker counts {1, 2, 8} with the shift-
+// factorization cache off and on, and σ sampling must confirm them.
 func TestBackendBitIdentityAcrossThreadsAndCache(t *testing.T) {
 	m, err := statespace.Generate(53, statespace.GenOptions{
-		Ports: 4, Order: 32, TargetPeak: 1.05, GridPoints: 100,
-		PortsPerColumn: 2, // banded C: the sparse backend has real zeros to skip
+		Ports: 8, Order: 512, TargetPeak: 1.05, GridPoints: 100,
+		PortsPerColumn: 1, // one port per column: C is 1/8 dense
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perBackend := make(map[statespace.Backend][]float64)
-	var omegaMax float64
-	for _, backend := range []statespace.Backend{statespace.BackendPackedDense, statespace.BackendSparse} {
-		var ref *Report
-		for _, threads := range []int{1, 2, 8} {
-			for _, cacheSize := range []int{-1, 0} { // off, default LRU
-				o := charOpts()
-				o.Core.Threads = threads
-				o.Core.ShiftCacheSize = cacheSize
-				o.Backend = backend
-				rep, err := Characterize(m, o)
-				if err != nil {
-					t.Fatalf("%v threads=%d cache=%d: %v", backend, threads, cacheSize, err)
-				}
-				if rep.Backend != backend {
-					t.Fatalf("forced %v, report says %v", backend, rep.Backend)
-				}
-				if ref == nil {
-					ref = rep
-					continue
-				}
-				if len(rep.Crossings) != len(ref.Crossings) {
-					t.Fatalf("%v threads=%d cache=%d: %d crossings vs %d at the reference config",
-						backend, threads, cacheSize, len(rep.Crossings), len(ref.Crossings))
-				}
-				for k := range rep.Crossings {
-					if rep.Crossings[k] != ref.Crossings[k] {
-						t.Fatalf("%v threads=%d cache=%d: crossing %d not bit-identical: %v vs %v",
-							backend, threads, cacheSize, k, rep.Crossings[k], ref.Crossings[k])
-					}
+	var ref *Report
+	for _, threads := range []int{1, 2, 8} {
+		for _, cacheSize := range []int{-1, 0} { // off, default LRU
+			o := charOpts()
+			o.Core.Threads = threads
+			o.Core.ShiftCacheSize = cacheSize
+			rep, err := Characterize(m, o)
+			if err != nil {
+				t.Fatalf("threads=%d cache=%d: %v", threads, cacheSize, err)
+			}
+			if rep.Backend != statespace.BackendSparse {
+				t.Fatalf("threads=%d cache=%d: report says %v, want sparse", threads, cacheSize, rep.Backend)
+			}
+			if ref == nil {
+				ref = rep
+				continue
+			}
+			if len(rep.Crossings) != len(ref.Crossings) {
+				t.Fatalf("threads=%d cache=%d: %d crossings vs %d at the reference config",
+					threads, cacheSize, len(rep.Crossings), len(ref.Crossings))
+			}
+			for k := range rep.Crossings {
+				if rep.Crossings[k] != ref.Crossings[k] {
+					t.Fatalf("threads=%d cache=%d: crossing %d not bit-identical: %v vs %v",
+						threads, cacheSize, k, rep.Crossings[k], ref.Crossings[k])
 				}
 			}
 		}
-		perBackend[backend] = ref.Crossings
-		omegaMax = ref.OmegaMax
 	}
-	dense := perBackend[statespace.BackendPackedDense]
-	sparse := perBackend[statespace.BackendSparse]
-	if len(dense) != len(sparse) {
-		t.Fatalf("backend disagreement on crossing count: packed-dense %d vs sparse %d", len(dense), len(sparse))
-	}
-	tol := 1e-9 * omegaMax
-	for k := range dense {
-		if d := math.Abs(dense[k] - sparse[k]); d > tol {
-			t.Fatalf("crossing %d differs across backends by %.3e (> %.3e)", k, d, tol)
-		}
-	}
-	if len(dense) == 0 {
+	if len(ref.Crossings) == 0 {
 		t.Fatal("test model produced no crossings; the bit-identity matrix asserted nothing")
+	}
+	if err := VerifyBySampling(m, ref, 0); err != nil {
+		t.Fatalf("sparse-backend crossings fail the sampling check: %v", err)
 	}
 }

@@ -48,7 +48,7 @@ type Report struct {
 	OmegaMax  float64 // searched band upper edge
 	Solver    core.Stats
 	// Backend is the kernel backend that executed the structured-operator
-	// surface (never BackendAuto — the dispatcher's resolution is recorded).
+	// surface, as the dispatcher chose it from the model's structure.
 	Backend statespace.Backend
 	// HalfPath reports whether the half-size (squared, reciprocal-only)
 	// eigenproblem was available to the solver for this characterization.
@@ -81,11 +81,6 @@ type Options struct {
 	// engine wires its engine-wide cache here. Nil (the default) builds a
 	// private operator per characterization — the standalone semantics.
 	Ops *hamiltonian.OpCache
-	// Backend forces a kernel backend on the model before the operator is
-	// built. The zero value (BackendAuto) leaves the model's current
-	// selection untouched, so callers that pre-configured the model via
-	// SetBackend keep their choice.
-	Backend statespace.Backend
 	// Half selects the half-size reciprocal fast path: HalfAuto (default)
 	// engages it when the model is detected reciprocal, HalfOff disables
 	// it, HalfForce errors on non-reciprocal models.
@@ -131,9 +126,6 @@ func CharacterizeContext(ctx context.Context, m *statespace.Model, opts Options)
 		return nil, err
 	}
 	opts.setDefaults()
-	if opts.Backend != statespace.BackendAuto {
-		m.SetBackend(opts.Backend)
-	}
 	hopts := hamiltonian.NewOptions{Half: opts.Half, HalfTol: opts.HalfTol}
 	var op *hamiltonian.Op
 	var err error

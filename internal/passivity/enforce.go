@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/arnoldi"
 	"repro/internal/core"
 	"repro/internal/hamiltonian"
 	"repro/internal/mat"
@@ -25,15 +24,6 @@ type EnforceOptions struct {
 	// MaxSigmaPerBand bounds how many violated singular values per band
 	// peak enter the constraint set. Default 4.
 	MaxSigmaPerBand int
-	// ColdStart disables warm-starting the re-characterizations. Warm
-	// starts are the default: violations only shrink under residue
-	// perturbation, so iteration k's crossings seed iteration k+1's
-	// startup shifts, and because the spectrum is already mapped, each
-	// shift runs a deeper Krylov sweep that certifies more eigenvalues per
-	// factorization (see warmArnoldi) — the total Stats.ShiftsProcessed
-	// drops measurably. ColdStart exists for A/B benchmarking
-	// (cmd/fleetbench) and as an escape hatch.
-	ColdStart bool
 	// Checkpoint, when non-nil, receives one durable-resume snapshot after
 	// every completed enforcement iteration (characterize → perturb →
 	// carry): the full perturbed residue state plus the loop's carried
@@ -44,10 +34,11 @@ type EnforceOptions struct {
 	// Resume, when non-nil, restarts the enforcement loop from a persisted
 	// checkpoint: the residue matrices are restored bit-exactly onto a
 	// fresh clone of the input model and the loop continues at the
-	// checkpoint's iteration with the same warm-start seeds and carried
-	// ω_max bound the uninterrupted run would have used, so the remaining
-	// iterations characterize bit-identically. Enforcement resume is
-	// iteration-granular: work inside an interrupted iteration is re-run.
+	// checkpoint's iteration with the carried ω_max bound the uninterrupted
+	// run would have used. Every re-characterization is a cold solve of
+	// the current residues, so the remaining iterations characterize
+	// bit-identically. Enforcement resume is iteration-granular: work
+	// inside an interrupted iteration is re-run.
 	Resume *EnforceCheckpoint
 	// ReestimateOmegaMax disables carrying the certified spectral-radius
 	// bound across iterations. By default (false, and with Char.Core.
@@ -56,10 +47,7 @@ type EnforceOptions struct {
 	// norm (see carryOmegaMax) instead of re-running the estimation
 	// Arnoldi — one fewer Arnoldi sweep per enforcement iteration; one
 	// confirming estimate still runs before passivity is certified on a
-	// carried bound (see EnforceContext). The carry applies to cold-start
-	// runs too (it is independent of shift placement), so warm and cold
-	// runs keep seeing identical bounds and hence bit-identical
-	// characterizations.
+	// carried bound (see EnforceContext).
 	ReestimateOmegaMax bool
 }
 
@@ -99,8 +87,7 @@ type EnforceReport struct {
 	ResidueChange float64 // ‖ΔC‖_F / ‖C‖_F cumulative relative perturbation
 	FinalReport   *Report
 	// SolverTotals accumulates the eigensolver work counters over every
-	// characterization of the run — the cost metric that warm-started
-	// re-characterizations reduce (see EnforceOptions.ColdStart).
+	// characterization of the run.
 	SolverTotals core.Stats
 }
 
@@ -130,9 +117,6 @@ type EnforceCheckpoint struct {
 	// SolverTotals accumulates the eigensolver work counters of the
 	// completed iterations.
 	SolverTotals core.Stats
-	// LastCrossings are the previous characterization's crossings — the
-	// warm-start shift seeds for iteration Iter.
-	LastCrossings []float64
 	// Residues are the perturbed residue matrices after the completed
 	// iterations: one row-major p×m_k block per model column, float bits
 	// preserved exactly so the restored model characterizes
@@ -142,7 +126,7 @@ type EnforceCheckpoint struct {
 
 // snapshotEnforce captures the loop state after one completed iteration.
 func snapshotEnforce(iter int, cumulative, carriedOmegaMax float64, carried bool,
-	rep *EnforceReport, chr *Report, work *statespace.Model) EnforceCheckpoint {
+	rep *EnforceReport, work *statespace.Model) EnforceCheckpoint {
 	ck := EnforceCheckpoint{
 		Iter:            iter,
 		Cumulative:      cumulative,
@@ -150,7 +134,6 @@ func snapshotEnforce(iter int, cumulative, carriedOmegaMax float64, carried bool
 		Carried:         carried,
 		InitialWorst:    rep.InitialWorst,
 		SolverTotals:    rep.SolverTotals,
-		LastCrossings:   append([]float64(nil), chr.Crossings...),
 		Residues:        make([][]float64, len(work.Cols)),
 	}
 	for k := range work.Cols {
@@ -243,9 +226,6 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 			charOpts.Core.OmegaMax = r.CarriedOmegaMax
 			carried = true
 		}
-		// Synthetic previous report: only the crossings matter (they seed
-		// the warm start exactly as the uninterrupted run's would have).
-		lastChr = &Report{Crossings: append([]float64(nil), r.LastCrossings...)}
 	}
 	if iterStart >= opts.MaxIters {
 		// The budget was already exhausted when the run was interrupted —
@@ -253,10 +233,6 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 		// record. Re-characterize once to rebuild the failure report; it
 		// describes the post-final-perturbation state, so it may even
 		// certify passivity that the uninterrupted run never checked for.
-		if !opts.ColdStart {
-			charOpts.Core.InitialShifts = lastChr.Crossings
-			charOpts.Core.Arnoldi = warmArnoldi(opts.Char.Core.Arnoldi)
-		}
 		chr, err := CharacterizeContext(ctx, work, charOpts)
 		if err != nil {
 			return nil, nil, err
@@ -273,16 +249,6 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 			ErrEnforcementFailed, rep.FinalWorst, opts.MaxIters)
 	}
 	for iter := iterStart; iter < opts.MaxIters; iter++ {
-		if !opts.ColdStart && lastChr != nil {
-			// Warm start: seed this iteration's shifts from the previous
-			// crossings and deepen the per-shift certification. The band and
-			// its coverage guarantee are unchanged — only the startup shift
-			// placement and the shifts-vs-sweep-depth tradeoff differ, and
-			// the canonical crossing polish keeps the reported crossings
-			// bit-identical either way.
-			charOpts.Core.InitialShifts = lastChr.Crossings
-			charOpts.Core.Arnoldi = warmArnoldi(opts.Char.Core.Arnoldi)
-		}
 		chr, err := CharacterizeContext(ctx, work, charOpts)
 		if err != nil {
 			return nil, nil, err
@@ -326,13 +292,13 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 		}
 		cumulative += step
 		if opts.Char.Core.OmegaMax == 0 && !opts.ReestimateOmegaMax {
-			// Warm-start the next iteration's ω_max: carry the certified
-			// bound instead of re-running the estimation Arnoldi.
+			// Carry the certified ω_max into the next iteration instead of
+			// re-running the estimation Arnoldi.
 			charOpts.Core.OmegaMax = carryOmegaMax(chr.OmegaMax, step, baseNorm)
 			carried = true
 		}
 		if opts.Checkpoint != nil {
-			opts.Checkpoint(snapshotEnforce(iter+1, cumulative, charOpts.Core.OmegaMax, carried, rep, chr, work))
+			opts.Checkpoint(snapshotEnforce(iter+1, cumulative, charOpts.Core.OmegaMax, carried, rep, work))
 		}
 	}
 	rep.Iterations = opts.MaxIters
@@ -341,35 +307,6 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 	rep.FinalReport = lastChr
 	return work, rep, fmt.Errorf("%w (worst σ still %g after %d iterations)",
 		ErrEnforcementFailed, rep.FinalWorst, opts.MaxIters)
-}
-
-// warmArnoldi is the per-shift profile for warm re-characterizations: the
-// number of shifts a solve needs is roughly (eigenvalues near the band) /
-// NWanted, because every certified disk is shrunk to enclose exactly
-// NWanted eigenvalues — so shift placement alone cannot reduce it. Since
-// iteration k already mapped the spectrum and each shift carries a fixed
-// O(n·p²) SMW factorization cost, the re-characterization certifies more
-// eigenvalues per factorization instead: NWanted grows 1.5× while MaxDim
-// stays put (the default d = 60 basis already has room for 8 wanted
-// eigenvalues; growing d would inflate the O(d²n) orthogonalization cost
-// that dominates each sweep). Measured on the Table-I case 2 enforcement
-// A/B (cmd/fleetbench, BENCH_fleet.json): 13.2% fewer total shifts,
-// crossings bit-identical.
-func warmArnoldi(p arnoldi.SingleShiftParams) arnoldi.SingleShiftParams {
-	nw := p.NWanted
-	if nw == 0 {
-		nw = 5
-	}
-	d := p.MaxDim
-	if d == 0 {
-		d = 60
-	}
-	p.NWanted = nw + (nw+1)/2
-	if min := 6 * p.NWanted; d < min {
-		d = min
-	}
-	p.MaxDim = d
-	return p
 }
 
 // freshOmegaMax re-runs the spectral-radius estimation Arnoldi on the

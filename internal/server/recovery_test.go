@@ -408,6 +408,56 @@ func TestRecoveryIDCounterAndEnforce(t *testing.T) {
 	}
 }
 
+// TestRecoveryAcceptsRetiredColdStart: a job persisted while the enforce
+// spec still had a cold_start switch must resume after an upgrade. The
+// persisted spec decodes leniently, so the retired field is ignored and
+// the job finishes with the report a fresh submission produces.
+func TestRecoveryAcceptsRetiredColdStart(t *testing.T) {
+	dir := t.TempDir()
+	spec := shrunkCaseSpec(t, 2)
+	spec.Enforce = &server.EnforceSpec{}
+
+	a := newStoredDaemon(t, filepath.Join(dir, "a.log"), 2)
+	status, v := post(t, a.ts.URL+"/v1/jobs", "application/json", mustJSON(t, spec))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d", status)
+	}
+	ref := waitTerminal(t, a.ts.URL, v.ID)
+	a.close()
+	if ref.State != "done" || ref.Report == nil || ref.Enforce == nil {
+		t.Fatalf("reference enforce job ended %q err %q", ref.State, ref.Error)
+	}
+
+	m, err := spec.BuildModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "b.log")
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := `{"char":{"seed":5},"enforce":{"cold_start":true}}`
+	if err := st.AppendJobStart("job-1", []byte(old), m); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := newStoredDaemon(t, path, 2)
+	defer b.close()
+	got := waitTerminal(t, b.ts.URL, "job-1")
+	if got.State != "done" || got.Report == nil || got.Enforce == nil {
+		t.Fatalf("recovered job ended %q err %q", got.State, got.Error)
+	}
+	if !bytes.Equal(gobBytes(t, sansSolver(*got.Report)), gobBytes(t, sansSolver(*ref.Report))) {
+		t.Fatal("recovered report not bit-identical to a fresh submission's")
+	}
+	if !bytes.Equal(*got.Enforce, *ref.Enforce) {
+		t.Fatalf("recovered enforce summary %s != fresh %s", *got.Enforce, *ref.Enforce)
+	}
+}
+
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)

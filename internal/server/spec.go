@@ -98,9 +98,8 @@ type CharSpec struct {
 
 // EnforceSpec tunes the enforcement loop.
 type EnforceSpec struct {
-	MaxIters  int     `json:"max_iters,omitempty"`
-	Margin    float64 `json:"margin,omitempty"`
-	ColdStart bool    `json:"cold_start,omitempty"`
+	MaxIters int     `json:"max_iters,omitempty"`
+	Margin   float64 `json:"margin,omitempty"`
 }
 
 // DecodeJobSpec strictly decodes one JobSpec from r and validates it:
@@ -363,10 +362,9 @@ func (s *JobSpec) EnforceOptions() *passivity.EnforceOptions {
 		return nil
 	}
 	return &passivity.EnforceOptions{
-		Char:      s.CharOptions(),
-		MaxIters:  s.Enforce.MaxIters,
-		Margin:    s.Enforce.Margin,
-		ColdStart: s.Enforce.ColdStart,
+		Char:     s.CharOptions(),
+		MaxIters: s.Enforce.MaxIters,
+		Margin:   s.Enforce.Margin,
 	}
 }
 

@@ -51,6 +51,13 @@ func TestDecodeJobSpec(t *testing.T) {
 			t.Errorf("%s: accepted, want rejection\n%s", tc.name, tc.body)
 		}
 	}
+
+	// Enforcement is cold-start only: the retired warm-start switch is an
+	// unknown field on ingest, and the error says which one.
+	_, err := server.DecodeJobSpec(strings.NewReader(`{"model":{"case":{"id":1}},"enforce":{"cold_start":true}}`))
+	if err == nil || !strings.Contains(err.Error(), "cold_start") {
+		t.Errorf("retired cold_start field: want an error naming it, got %v", err)
+	}
 }
 
 // TestSpecBuildModelPoleResidue realizes an explicit pole–residue spec

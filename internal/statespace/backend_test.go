@@ -29,6 +29,12 @@ func randSparsifiedModel(rng *rand.Rand, p int, density float64) *Model {
 	return m
 }
 
+// storePack installs a pack built for backend b, bypassing the structural
+// dispatch, so one model can be run on either kernel family.
+func storePack(m *Model, b Backend) {
+	m.pack.Store(m.buildPacked(b))
+}
+
 // TestSparseKernelEquivalence property-checks every sparse C-touching
 // kernel against the packed-dense backend on the same model, across
 // p = 1…8 and random sparsity patterns, at 1e-12. The A/B kernels are
@@ -41,11 +47,8 @@ func TestSparseKernelEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("p%d/density%g", p, density), func(t *testing.T) {
 				m := randSparsifiedModel(rng, p, density)
 				sp := m.Clone()
-				m.SetBackend(BackendPackedDense)
-				sp.SetBackend(BackendSparse)
-				if got := sp.ActiveBackend(); got != BackendSparse {
-					t.Fatalf("forced sparse backend resolved to %v", got)
-				}
+				storePack(m, BackendPackedDense)
+				storePack(sp, BackendSparse)
 				n := m.Order()
 				x := make([]complex128, n)
 				for i := range x {
@@ -97,10 +100,8 @@ func TestSparseKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestBackendDispatch pins the deterministic auto rule and the override
-// semantics: small or dense models run packed-dense, large sparse models
-// flip to CSR, and SetBackend both forces the choice and advances the
-// kernel epoch so stale factors age out.
+// TestBackendDispatch pins the deterministic dispatch rule: small or dense
+// models run packed-dense, large sparse models flip to CSR.
 func TestBackendDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	small := randModel(rng, 4)
@@ -121,28 +122,6 @@ func TestBackendDispatch(t *testing.T) {
 	}
 	if got := big.ActiveBackend(); got != BackendSparse {
 		t.Fatalf("large sparse model auto-resolved to %v, want sparse", got)
-	}
-	if got := big.BackendSelection(); got != BackendAuto {
-		t.Fatalf("selection reports %v, want auto", got)
-	}
-
-	epoch := big.KernelEpoch()
-	big.SetBackend(BackendPackedDense)
-	if big.KernelEpoch() == epoch {
-		t.Fatal("SetBackend did not advance the kernel epoch")
-	}
-	if got := big.ActiveBackend(); got != BackendPackedDense {
-		t.Fatalf("forced packed-dense resolved to %v", got)
-	}
-	epoch = big.KernelEpoch()
-	big.SetBackend(BackendPackedDense) // no-op
-	if big.KernelEpoch() != epoch {
-		t.Fatal("redundant SetBackend advanced the kernel epoch")
-	}
-
-	clone := big.Clone()
-	if got := clone.BackendSelection(); got != BackendPackedDense {
-		t.Fatalf("Clone dropped the backend request: %v", got)
 	}
 }
 
@@ -356,10 +335,7 @@ func TestReciprocalDetection(t *testing.T) {
 func TestSparseApplyZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m := randSparsifiedModel(rng, 6, 0.2)
-	m.SetBackend(BackendSparse)
-	if got := m.ActiveBackend(); got != BackendSparse {
-		t.Fatalf("forced sparse backend resolved to %v", got)
-	}
+	storePack(m, BackendSparse)
 	n := m.Order()
 	x := make([]complex128, n)
 	for i := range x {
@@ -378,5 +354,72 @@ func TestSparseApplyZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { m.CApplyCT(yn, u) }); avg != 0 {
 		t.Fatalf("sparse CApplyCT allocates %.1f objects per call, want 0", avg)
+	}
+}
+
+// bandedModel builds a generator model with a banded C (the ports within
+// circular distance < portsPerCol of each column) and skips the σ_max
+// peak calibration: kernel timings do not depend on the peak, and the
+// calibration sweep dominates generation at n = 10⁴.
+func bandedModel(seed int64, ports, order, portsPerCol int) *Model {
+	opts := GenOptions{Ports: ports, Order: order, PortsPerColumn: portsPerCol}
+	opts.setDefaults()
+	rng := rand.New(rand.NewSource(seed))
+	m := &Model{P: ports, D: randomContraction(rng, ports, opts.DNorm), Cols: make([]Column, ports)}
+	for k := range m.Cols {
+		mk := order / ports
+		if k < order%ports {
+			mk++
+		}
+		m.Cols[k] = buildColumn(rng, k, ports, mk, opts)
+	}
+	return m
+}
+
+// BenchmarkKernelBackends times the four C-touching kernels of the
+// structured operator on packed-dense vs CSR packs of one banded model
+// (40 ports, 3 non-zero ports per column), at the dispatcher's sparse
+// threshold n = 512 and at n = 10⁴. Both sizes auto-resolve to CSR.
+func BenchmarkKernelBackends(b *testing.B) {
+	const ports, portsPerCol = 40, 2
+	for _, n := range []int{sparseMinOrder, 10000} {
+		m := bandedModel(200, ports, n, portsPerCol)
+		if got := m.ActiveBackend(); got != BackendSparse {
+			b.Fatalf("n=%d: banded model auto-resolved to %v, want sparse", n, got)
+		}
+		rng := rand.New(rand.NewSource(3))
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		u := make([]complex128, ports)
+		for i := range u {
+			u[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		yp := make([]complex128, ports)
+		yn := make([]complex128, n)
+		panel := make([]complex128, ports*ports)
+		theta := complex(0, 2e9)
+		kernels := []struct {
+			name string
+			run  func() error
+		}{
+			{"CApplyC", func() error { m.CApplyC(yp, x); return nil }},
+			{"CApplyCT", func() error { m.CApplyCT(yn, u); return nil }},
+			{"CResolventB", func() error { return m.CResolventB(panel, theta) }},
+			{"BTResolventCT", func() error { return m.BTResolventCT(panel, theta) }},
+		}
+		for _, backend := range []Backend{BackendPackedDense, BackendSparse} {
+			for _, k := range kernels {
+				b.Run(fmt.Sprintf("n=%d/%v/%s", n, backend, k.name), func(b *testing.B) {
+					storePack(m, backend)
+					for b.Loop() {
+						if err := k.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

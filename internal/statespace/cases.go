@@ -18,11 +18,6 @@ type CaseSpec struct {
 	// the case, on which the half-size Hamiltonian path engages. The
 	// generator rounds N to P times the per-column order.
 	Reciprocal bool
-	// SparsePorts, when positive, restricts each column's residues to the
-	// ports within circular distance < SparsePorts of the column index
-	// (GenOptions.PortsPerColumn), producing the banded sparse C the CSR
-	// backend targets. 0 keeps C fully dense.
-	SparsePorts int
 }
 
 // TableICases returns the twelve benchmark specifications of Table I.
@@ -68,11 +63,10 @@ func ReciprocalTableICases() []CaseSpec {
 // BuildCase generates the synthetic macromodel for a Table-I case.
 func BuildCase(spec CaseSpec) (*Model, error) {
 	m, err := Generate(spec.Seed, GenOptions{
-		Ports:          spec.P,
-		Order:          spec.N,
-		TargetPeak:     spec.TargetPeak,
-		Reciprocal:     spec.Reciprocal,
-		PortsPerColumn: spec.SparsePorts,
+		Ports:      spec.P,
+		Order:      spec.N,
+		TargetPeak: spec.TargetPeak,
+		Reciprocal: spec.Reciprocal,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("statespace: case %d: %w", spec.ID, err)

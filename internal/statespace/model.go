@@ -88,10 +88,6 @@ type Model struct {
 	// entries on it so factored state derived from a superseded kernel
 	// generation can never be served after an in-place mutation.
 	epoch atomic.Uint64
-	// backend holds the requested kernel Backend (see backend.go). Zero is
-	// BackendAuto; SetBackend stores a new value and invalidates the packed
-	// cache so the next kernel call re-resolves it.
-	backend atomic.Int32
 }
 
 // KernelEpoch returns the model's kernel generation: it starts at zero and
@@ -276,14 +272,13 @@ func (m *Model) DenseC() *mat.Dense {
 	return cm
 }
 
-// Clone returns a deep copy of the model (including its backend request).
+// Clone returns a deep copy of the model.
 func (m *Model) Clone() *Model {
 	c := &Model{P: m.P, D: m.D.Clone(), Cols: make([]Column, len(m.Cols))}
 	for k := range m.Cols {
 		c.Cols[k].Blocks = append([]Block(nil), m.Cols[k].Blocks...)
 		c.Cols[k].C = m.Cols[k].C.Clone()
 	}
-	c.backend.Store(m.backend.Load())
 	return c
 }
 

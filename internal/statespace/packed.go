@@ -24,7 +24,7 @@ type packed struct {
 	n, p int
 
 	// backend is the dispatcher's resolution for this kernel generation
-	// (never BackendAuto). It decides which of the C storages below is
+	// (see resolveBackend). It decides which of the C storages below is
 	// populated and which loop family the C-touching kernels run.
 	backend Backend
 
@@ -66,7 +66,7 @@ func (m *Model) packKernels() *packed {
 	if pk := m.pack.Load(); pk != nil {
 		return pk
 	}
-	pk := m.buildPacked()
+	pk := m.buildPacked(m.resolveBackend())
 	m.pack.Store(pk)
 	return pk
 }
@@ -84,12 +84,13 @@ func (m *Model) InvalidateKernels() {
 	m.pack.Store(nil)
 }
 
-func (m *Model) buildPacked() *packed {
+// buildPacked lays the model out for the given backend's kernels.
+func (m *Model) buildPacked(backend Backend) *packed {
 	n := m.Order()
 	pk := &packed{
 		n:       n,
 		p:       m.P,
-		backend: m.resolveBackend(),
+		backend: backend,
 	}
 	if pk.backend != BackendSparse {
 		pk.c = make([]float64, m.P*n)

@@ -377,7 +377,9 @@ func encodeEnforceCheckpoint(e *enc, ck *passivity.EnforceCheckpoint) {
 	e.varint(int64(ck.SolverTotals.Restarts))
 	e.varint(int64(ck.SolverTotals.OpApplies))
 	e.varint(int64(ck.SolverTotals.Elapsed))
-	e.f64s(ck.LastCrossings)
+	// Retired warm-start seed slot: always written empty so the record
+	// keeps the byte layout that existing logs were written in.
+	e.f64s(nil)
 	e.uvarint(uint64(len(ck.Residues)))
 	for _, r := range ck.Residues {
 		e.f64s(r)
@@ -399,7 +401,9 @@ func decodeEnforceCheckpoint(d *dec) passivity.EnforceCheckpoint {
 		OpApplies:        int(d.varint()),
 		Elapsed:          time.Duration(d.varint()),
 	}
-	ck.LastCrossings = d.f64s()
+	// Logs written before enforcement became cold-only carry the previous
+	// iteration's crossings here as warm-start seeds; nothing reads them.
+	_ = d.f64s()
 	n := d.count(1)
 	if d.err != nil {
 		return ck

@@ -93,7 +93,6 @@ func TestStoreRoundTrip(t *testing.T) {
 		Carried:         true,
 		InitialWorst:    1.25,
 		SolverTotals:    core.Stats{ShiftsProcessed: 7, Restarts: 12, OpApplies: 900, Elapsed: 1234},
-		LastCrossings:   []float64{1.5, 2.25},
 		Residues:        [][]float64{{math.Pi, -math.Sqrt2}},
 	}
 	if err := s.AppendEnforceCheckpoint("job-1", eck); err != nil {
@@ -149,6 +148,61 @@ func TestStoreRoundTrip(t *testing.T) {
 	j2 := jobs[1]
 	if j2.Terminal == nil || j2.Terminal.State != "done" || string(j2.Terminal.Doc) != `{"id":"job-2"}` {
 		t.Fatalf("job-2 terminal: %+v", j2.Terminal)
+	}
+}
+
+// TestStoreReadsWarmSeedEnforceRecord: logs written while enforcement
+// still warm-started carry non-empty crossing seeds in the enforce
+// checkpoint's seed slot. Such a record must still replay, with the seeds
+// discarded and every other field intact.
+func TestStoreReadsWarmSeedEnforceRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.log")
+	s := openPath(t, path)
+	if err := s.AppendJobStart("job-1", []byte(`{}`), testModel()); err != nil {
+		t.Fatal(err)
+	}
+	totals := core.Stats{ShiftsProcessed: 7, TentativeDeleted: 2, Restarts: 12, OpApplies: 900, Elapsed: 1234}
+	residues := [][]float64{{math.Pi, -math.Sqrt2}}
+	var e enc
+	e.u8(recEnforceCheckpoint)
+	e.str("job-1")
+	e.varint(3)  // Iter
+	e.f64(0.125) // Cumulative
+	e.f64(11.5)  // CarriedOmegaMax
+	e.bool(true) // Carried
+	e.f64(1.25)  // InitialWorst
+	e.varint(int64(totals.ShiftsProcessed))
+	e.varint(int64(totals.TentativeDeleted))
+	e.varint(int64(totals.Restarts))
+	e.varint(int64(totals.OpApplies))
+	e.varint(int64(totals.Elapsed))
+	e.f64s([]float64{1.5, 2.25, 3.125}) // warm-start seeds
+	e.uvarint(uint64(len(residues)))
+	for _, r := range residues {
+		e.f64s(r)
+	}
+	if err := s.append(e.buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openPath(t, path)
+	defer s2.Close()
+	jobs := s2.Recovered()
+	if len(jobs) != 1 || jobs[0].Enforce == nil {
+		t.Fatalf("want job-1 with an enforce checkpoint, got %+v", jobs)
+	}
+	ck := jobs[0].Enforce
+	if ck.Iter != 3 || ck.Cumulative != 0.125 || ck.CarriedOmegaMax != 11.5 || !ck.Carried || ck.InitialWorst != 1.25 {
+		t.Fatalf("scalar fields: %+v", ck)
+	}
+	if ck.SolverTotals != totals {
+		t.Fatalf("solver totals: got %+v, want %+v", ck.SolverTotals, totals)
+	}
+	if !reflect.DeepEqual(ck.Residues, residues) {
+		t.Fatalf("residues: got %v, want %v", ck.Residues, residues)
 	}
 }
 

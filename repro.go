@@ -20,8 +20,7 @@
 //     characterization and enforcement jobs on one shared worker pool —
 //     every compute phase (shifts, band probes, constraint assembly) is a
 //     pool task — with per-job priorities and fairness weights, bounded
-//     admission, per-job context cancellation, and warm-started
-//     enforcement re-characterizations.
+//     admission, and per-job context cancellation.
 //
 // Quick start:
 //
@@ -89,17 +88,15 @@ func TableICases() []CaseSpec { return statespace.TableICases() }
 // path engages.
 func ReciprocalTableICases() []CaseSpec { return statespace.ReciprocalTableICases() }
 
-// Backend selects which kernel implementation executes the structured-
-// operator surface: packed-dense (the Table-I default) or CSR sparse
-// (O(nnz) applies and SMW setup for n ≳ 10⁴ port-local models). The zero
-// value BackendAuto resolves deterministically from the model structure.
-// Set it per model via Model.SetBackend or per characterization via
-// CharOptions.Backend; Report.Backend records the dispatcher's choice.
+// Backend names the kernel implementation that executes the structured-
+// operator surface: packed-dense (the Table-I models) or CSR sparse
+// (O(nnz) applies and SMW setup for large port-local models). The choice
+// is made deterministically from the model structure; Report.Backend
+// records it.
 type Backend = statespace.Backend
 
 // Backend values.
 const (
-	BackendAuto        = statespace.BackendAuto
 	BackendPackedDense = statespace.BackendPackedDense
 	BackendSparse      = statespace.BackendSparse
 )
