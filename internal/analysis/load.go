@@ -3,13 +3,13 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -140,7 +140,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	}
 	conf := types.Config{
 		Importer: l,
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
+		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
 	}
 	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
@@ -151,7 +151,9 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return p, nil
 }
 
-// goFileNames lists dir's non-test .go files, sorted.
+// goFileNames lists dir's non-test .go files that build for the target
+// platform (file-name suffixes and //go:build lines, as the go tool reads
+// them), sorted.
 func goFileNames(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -162,6 +164,13 @@ func goFileNames(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, name)

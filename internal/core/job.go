@@ -288,8 +288,11 @@ func (j *Job) maybeFinishLocked() {
 	close(j.done)
 }
 
-// runInterval processes one admitted interval on a worker goroutine.
-func (j *Job) runInterval(p *Pool, worker int, iv *interval) {
+// runInterval processes the admitted interval of task t, started at start,
+// on a worker goroutine. It books t (Pool.bookLocked) in the same critical
+// section that commits the shift's outcome, before the job can finish.
+func (j *Job) runInterval(p *Pool, worker int, t *task, start time.Time) {
+	iv := t.iv
 	rho0 := 0.5 * j.opts.Alpha * iv.width()
 	if iv.edgeLeft || iv.edgeRite {
 		// Edge shifts sit at the interval boundary; the disk must be able
@@ -309,6 +312,7 @@ func (j *Job) runInterval(p *Pool, worker int, iv *interval) {
 	sres, err := runShift(j.op, iv.shift, rho0, params)
 	if err != nil {
 		p.mu.Lock()
+		p.bookLocked(t, start)
 		j.inflight--
 		j.removeRunningLocked(iv)
 		j.failLocked(p, fmt.Errorf("core: shift ω=%g: %w", iv.shift, err))
@@ -332,6 +336,7 @@ func (j *Job) runInterval(p *Pool, worker int, iv *interval) {
 	j.outMu.Unlock()
 
 	p.mu.Lock()
+	p.bookLocked(t, start)
 	committed := j.completed
 	j.completeLocked(p, iv, iv.shift, sres.Radius)
 	var ck *Checkpoint

@@ -319,24 +319,33 @@ func (p *Pool) execute(t *task, worker int) {
 	//lint:ignore detfloat worker busy-time telemetry only; it never feeds numeric state
 	start := time.Now()
 	if t.iv != nil {
-		t.job.runInterval(p, worker, t.iv)
-	} else {
-		t.run(worker)
+		// The interval task books itself inside the critical section that
+		// commits its completion: the job can finish there, and whoever
+		// its end wakes must already see the task in PhaseStats.
+		t.job.runInterval(p, worker, t, start)
+		return
 	}
-	//lint:ignore detfloat worker busy-time telemetry only; it never feeds numeric state
-	busy := time.Since(start)
+	t.run(worker)
 	p.mu.Lock()
-	s := p.phase[t.phase]
-	s.Tasks++
-	s.Busy += busy
-	p.phase[t.phase] = s
-	t.client.busy += busy
+	p.bookLocked(t, start)
 	p.mu.Unlock()
 	if t.batch != nil {
 		// Count the task down only now: RunBatch's join must not return
 		// before the task shows up in PhaseStats.
 		t.batch.finishOne()
 	}
+}
+
+// bookLocked accounts an executed task, started at start, to its phase's
+// PhaseStats and its client's busy time.
+func (p *Pool) bookLocked(t *task, start time.Time) {
+	//lint:ignore detfloat worker busy-time telemetry only; it never feeds numeric state
+	busy := time.Since(start)
+	s := p.phase[t.phase]
+	s.Tasks++
+	s.Busy += busy
+	p.phase[t.phase] = s
+	t.client.busy += busy
 }
 
 // YieldInteractive runs queued interactive-class tasks to exhaustion on

@@ -2,7 +2,9 @@ package hamiltonian
 
 import (
 	"math"
+	"runtime"
 	"sync"
+	"weak"
 
 	"repro/internal/statespace"
 )
@@ -27,6 +29,12 @@ const opCacheCap = 64
 // perturbations) does not touch. Get therefore records the source model's
 // kernel epoch at build time and rebuilds when it has moved — the same
 // epoch discipline the ShiftCache keys on.
+//
+// Lifetime: entries hold their source model only weakly, so a cache that
+// outlives many jobs (the fleet engine's, or a benchmark's enforce loop) does
+// not keep each job's private model clone — and through it the entry's Op —
+// reachable. A cleanup attached to the model on first insertion evicts the
+// entry once the model has been collected.
 type OpCache struct {
 	mu     sync.Mutex
 	shifts *ShiftCache
@@ -37,7 +45,7 @@ type OpCache struct {
 // model with different path settings (e.g. an A/B benchmark forcing the
 // full path against an auto half path) must get distinct operators.
 type opCacheKey struct {
-	model   *statespace.Model
+	model   weak.Pointer[statespace.Model]
 	rep     Representation
 	half    HalfMode
 	halfTol uint64 // math.Float64bits of NewOptions.HalfTol
@@ -83,7 +91,7 @@ func (oc *OpCache) StatsForWith(m *statespace.Model, rep Representation, opts Ne
 
 func opKeyFor(m *statespace.Model, rep Representation, opts NewOptions) opCacheKey {
 	return opCacheKey{
-		model:   m,
+		model:   weak.Make(m),
 		rep:     rep,
 		half:    opts.Half,
 		halfTol: math.Float64bits(opts.HalfTol),
@@ -120,7 +128,19 @@ func (oc *OpCache) GetWith(m *statespace.Model, rep Representation, opts NewOpti
 	if len(oc.ops) >= opCacheCap {
 		oc.ops = make(map[opCacheKey]opCacheEntry)
 	}
+	if _, ok := oc.ops[k]; !ok {
+		runtime.AddCleanup(m, oc.evict, k)
+	}
 	oc.ops[k] = opCacheEntry{op: op, epoch: epoch}
 	oc.mu.Unlock()
 	return op, nil
+}
+
+// evict drops the entry of a collected model. It runs on the runtime's
+// cleanup goroutine once the model is unreachable; a key whose entry has
+// already gone (the capacity reset) is a no-op.
+func (oc *OpCache) evict(k opCacheKey) {
+	oc.mu.Lock()
+	delete(oc.ops, k)
+	oc.mu.Unlock()
 }

@@ -116,13 +116,21 @@ func axpyDot(a float64, x, y, w []float64) float64 {
 //
 // The complex BLAS-1 kernels below sit inside the Arnoldi MGS loop, which
 // costs about as much CPU as the structured-operator applies on a
-// full-path characterization (case 5: ~30% of samples each; DESIGN.md,
-// "The hot path"). They are written in explicit real arithmetic — no
-// cmplx.Conj calls, no per-element [2]float64 literals — with the
-// accumulation order of the original straightforward loops preserved, so
-// results are bit-identical up to documented exceptions (CNorm2's fast
-// path reassociates the sum of squares; CAxpy's unrolling is exact because
-// it has no cross-iteration dependence).
+// full-path characterization (DESIGN.md, "The hot path"). They are written
+// in explicit real arithmetic — no cmplx.Conj calls, no per-element
+// [2]float64 literals — with the accumulation order of the original
+// straightforward loops preserved, so results are bit-identical up to
+// documented exceptions (CNorm2's fast path reassociates the sum of
+// squares; CAxpy's unrolling is exact because it has no cross-iteration
+// dependence).
+//
+// On amd64 with AVX, cAxpyDot (every MGS chain link but the last) and
+// CAxpy (the last link, and every Ritz-vector lift) run hand-written
+// kernels (vec_amd64.s) chosen once at init. They use no fused
+// multiply-add and keep the dot's running sum one sequential chain in
+// element order, so they match the Go loops, which stay as the fallback
+// and the reference, bit for bit; the speed-up comes from vectorizing the
+// axpy and the per-element products.
 
 // CDot returns the inner product xᴴy (conjugating x).
 func CDot(x, y []complex128) complex128 {
@@ -176,12 +184,21 @@ func CNorm2(x []complex128) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// CAxpy computes y ← y + a·x in place. Iterations are independent, so the
-// 4-way unroll is bit-identical to the scalar loop.
+// CAxpy computes y ← y + a·x in place.
 func CAxpy(a complex128, x, y []complex128) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: vector length mismatch %d vs %d", len(x), len(y)))
 	}
+	if useAVX {
+		cAxpyAVX(a, x, y)
+		return
+	}
+	cAxpyGo(a, x, y)
+}
+
+// cAxpyGo is the pure-Go CAxpy for x and y of equal length. Iterations are
+// independent, so the 4-way unroll is bit-identical to the scalar loop.
+func cAxpyGo(a complex128, x, y []complex128) {
 	ar, ai := real(a), imag(a)
 	n := len(x)
 	y = y[:n]
@@ -248,6 +265,14 @@ func cAxpyDot(a complex128, x, y, w []complex128) complex128 {
 	if len(x) != len(w) || len(y) != len(w) {
 		panic(fmt.Sprintf("mat: vector length mismatch %d, %d vs %d", len(x), len(y), len(w)))
 	}
+	if useAVX {
+		return cAxpyDotAVX(a, x, y, w)
+	}
+	return cAxpyDotGo(a, x, y, w)
+}
+
+// cAxpyDotGo is the pure-Go cAxpyDot for x, y and w of equal length.
+func cAxpyDotGo(a complex128, x, y, w []complex128) complex128 {
 	x, y = x[:len(w)], y[:len(w)]
 	ar, ai := real(a), imag(a)
 	var re, im float64

@@ -1,0 +1,33 @@
+package mat
+
+// useAVX routes cAxpyDot and CAxpy to the AVX kernels in vec_amd64.s. It
+// is set once at package init, from CPUID and XGETBV: the CPU must report
+// AVX and OSXSAVE, and the OS must save the XMM and YMM state. The kernels
+// reproduce the pure-Go loops bit for bit, so the choice never moves a
+// result; tests flip it to compare the two.
+var useAVX = hasAVX()
+
+func hasAVX() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	_, _, ecx, _ := cpuid(1, 0)
+	if ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	eax, _ := xgetbv()
+	const xmmYmm = 1<<1 | 1<<2
+	return eax&xmmYmm == xmmYmm
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// cAxpyDotAVX is cAxpyDotGo for x, y and w of equal length.
+//
+//go:noescape
+func cAxpyDotAVX(a complex128, x, y, w []complex128) complex128
+
+// cAxpyAVX is cAxpyGo for x and y of equal length.
+//
+//go:noescape
+func cAxpyAVX(a complex128, x, y []complex128)

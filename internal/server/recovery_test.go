@@ -10,6 +10,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/server"
@@ -209,6 +211,13 @@ func TestRecoveryFromCrashImages(t *testing.T) {
 			}
 			if !bytes.Equal(gobBytes(t, sansSolver(*got.Report)), gobBytes(t, sansSolver(*ref.Report))) {
 				t.Fatal("recovered report not bit-identical to the uninterrupted run")
+			}
+			// The watcher marks the job done before it appends the
+			// terminal record; read the log only once it has returned.
+			dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := b.srv.DrainJobs(dctx); err != nil {
+				t.Fatal(err)
 			}
 			final := parseLog(t, mustRead(t, path))
 			// Straggler checkpoints can trail the terminal append here too,

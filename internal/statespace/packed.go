@@ -249,9 +249,11 @@ func (m *Model) CApplyBT(y []complex128, x []complex128) {
 	}
 }
 
-// CApplyC computes y = C·x, x ∈ C^n, y ∈ C^p. Each output element streams
-// one contiguous row of the packed C. The accumulation is sequential in j,
-// which keeps the result bit-identical to the dense row·vector reference.
+// CApplyC computes y = C·x, x ∈ C^n, y ∈ C^p. Each pass streams four
+// contiguous rows of the packed C against one read of x, with a separate
+// (re, im) accumulator pair per row; leftover rows run one at a time. Every
+// output still accumulates sequentially in j, which keeps the result
+// bit-identical to the dense row·vector reference.
 func (m *Model) CApplyC(y []complex128, x []complex128) {
 	pk := m.packKernels()
 	if pk.backend == BackendSparse {
@@ -259,20 +261,40 @@ func (m *Model) CApplyC(y []complex128, x []complex128) {
 		return
 	}
 	n := pk.n
-	for i := 0; i < pk.p; i++ {
-		row := pk.c[i*n : (i+1)*n : (i+1)*n]
-		var re, im float64
-		for j, cj := range row {
-			xj := x[j]
-			re += cj * real(xj)
-			im += cj * imag(xj)
+	x = x[:n]
+	i := 0
+	for ; i+4 <= pk.p; i += 4 {
+		r0 := pk.c[i*n : (i+1)*n][:len(x)]
+		r1 := pk.c[(i+1)*n : (i+2)*n][:len(x)]
+		r2 := pk.c[(i+2)*n : (i+3)*n][:len(x)]
+		r3 := pk.c[(i+3)*n : (i+4)*n][:len(x)]
+		var re0, im0, re1, im1, re2, im2, re3, im3 float64
+		for j, xj := range x {
+			xr, xi := real(xj), imag(xj)
+			c0, c1, c2, c3 := r0[j], r1[j], r2[j], r3[j]
+			re0 += c0 * xr
+			im0 += c0 * xi
+			re1 += c1 * xr
+			im1 += c1 * xi
+			re2 += c2 * xr
+			im2 += c2 * xi
+			re3 += c3 * xr
+			im3 += c3 * xi
 		}
-		y[i] = complex(re, im)
+		y[i] = complex(re0, im0)
+		y[i+1] = complex(re1, im1)
+		y[i+2] = complex(re2, im2)
+		y[i+3] = complex(re3, im3)
+	}
+	for ; i < pk.p; i++ {
+		y[i] = dotRealComplex(pk.c[i*n:(i+1)*n], x)
 	}
 }
 
 // CApplyCT computes y = Cᵀ·u, u ∈ C^p, y ∈ C^n, streaming the transposed
-// packing so every state reads one contiguous p-row.
+// packing so every state reads one contiguous p-row. Like CApplyC it
+// handles four states per pass against one read of u, each with its own
+// accumulator pair in the row's order.
 func (m *Model) CApplyCT(y []complex128, u []complex128) {
 	pk := m.packKernels()
 	if pk.backend == BackendSparse {
@@ -280,16 +302,47 @@ func (m *Model) CApplyCT(y []complex128, u []complex128) {
 		return
 	}
 	p := pk.p
-	for j := 0; j < pk.n; j++ {
-		row := pk.ct[j*p : (j+1)*p : (j+1)*p]
-		var re, im float64
-		for i, cij := range row {
-			ui := u[i]
-			re += cij * real(ui)
-			im += cij * imag(ui)
+	u = u[:p]
+	j := 0
+	for ; j+4 <= pk.n; j += 4 {
+		r0 := pk.ct[j*p : (j+1)*p][:len(u)]
+		r1 := pk.ct[(j+1)*p : (j+2)*p][:len(u)]
+		r2 := pk.ct[(j+2)*p : (j+3)*p][:len(u)]
+		r3 := pk.ct[(j+3)*p : (j+4)*p][:len(u)]
+		var re0, im0, re1, im1, re2, im2, re3, im3 float64
+		for i, ui := range u {
+			ur, uim := real(ui), imag(ui)
+			c0, c1, c2, c3 := r0[i], r1[i], r2[i], r3[i]
+			re0 += c0 * ur
+			im0 += c0 * uim
+			re1 += c1 * ur
+			im1 += c1 * uim
+			re2 += c2 * ur
+			im2 += c2 * uim
+			re3 += c3 * ur
+			im3 += c3 * uim
 		}
-		y[j] = complex(re, im)
+		y[j] = complex(re0, im0)
+		y[j+1] = complex(re1, im1)
+		y[j+2] = complex(re2, im2)
+		y[j+3] = complex(re3, im3)
 	}
+	for ; j < pk.n; j++ {
+		y[j] = dotRealComplex(pk.ct[j*p:(j+1)*p], u)
+	}
+}
+
+// dotRealComplex returns Σ row[j]·x[j] for a real row, accumulated
+// sequentially in j: one C row (or Cᵀ row) of CApplyC/CApplyCT.
+func dotRealComplex(row []float64, x []complex128) complex128 {
+	x = x[:len(row)]
+	var re, im float64
+	for j, cj := range row {
+		xj := x[j]
+		re += cj * real(xj)
+		im += cj * imag(xj)
+	}
+	return complex(re, im)
 }
 
 // CResolventB computes the p×p panel X = C·(A − θI)⁻¹·B into dst

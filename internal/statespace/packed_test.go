@@ -2,6 +2,7 @@ package statespace
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -194,4 +195,56 @@ func TestPackedCacheInvalidation(t *testing.T) {
 	if d := maxAbsDiff(y, want); d > 1e-12*vecScale(want) {
 		t.Fatalf("stale kernel cache after InvalidateKernels: %g", d)
 	}
+}
+
+// TestCApplyBlockedMatchesRows: the four-row passes of CApplyC and the
+// four-state passes of CApplyCT reproduce a row-at-a-time loop bit for bit,
+// for port counts below, at and past the block width and state counts not
+// divisible by four.
+func TestCApplyBlockedMatchesRows(t *testing.T) {
+	rowDot := func(row []float64, x []complex128) complex128 {
+		var re, im float64
+		for j, c := range row {
+			re += c * real(x[j])
+			im += c * imag(x[j])
+		}
+		return complex(re, im)
+	}
+	for _, p := range []int{1, 2, 3, 5, 56} {
+		rng := rand.New(rand.NewSource(int64(p)))
+		m := randModel(rng, p)
+		for m.Order()%4 == 0 {
+			m = randModel(rng, p)
+		}
+		storePack(m, BackendPackedDense)
+		pk := m.packKernels()
+		n := pk.n
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		u := make([]complex128, p)
+		for i := range u {
+			u[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		y := make([]complex128, p)
+		m.CApplyC(y, x)
+		for i := range y {
+			if want := rowDot(pk.c[i*n:(i+1)*n], x); !sameComplexBits(y[i], want) {
+				t.Fatalf("p=%d n=%d: CApplyC row %d = %v, row loop %v", p, n, i, y[i], want)
+			}
+		}
+		yt := make([]complex128, n)
+		m.CApplyCT(yt, u)
+		for j := range yt {
+			if want := rowDot(pk.ct[j*p:(j+1)*p], u); !sameComplexBits(yt[j], want) {
+				t.Fatalf("p=%d n=%d: CApplyCT state %d = %v, row loop %v", p, n, j, yt[j], want)
+			}
+		}
+	}
+}
+
+func sameComplexBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
