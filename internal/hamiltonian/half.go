@@ -180,17 +180,7 @@ func (h *HalfOp) Op() *Op { return h.op }
 // applyV computes t = V·x, t ∈ R^{2p}, streaming vt state-major with one
 // fixed accumulation order (deterministic for any caller).
 func (h *HalfOp) applyV(t, x []float64) {
-	q := 2 * h.p
-	for i := 0; i < q; i++ {
-		t[i] = 0
-	}
-	for j := 0; j < h.n; j++ {
-		row := h.vt[j*q : (j+1)*q : (j+1)*q]
-		xj := x[j]
-		for i, v := range row {
-			t[i] += v * xj
-		}
-	}
+	mat.MulVecTrans(t[:2*h.p], h.vt, x[:h.n])
 }
 
 // getHalfPanel returns a pooled 2p×2p capacitance panel buffer.

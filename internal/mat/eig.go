@@ -155,8 +155,20 @@ func hessenbergQR(h *CDense, zt *CDense) error {
 // rotateRows applies the rotation [x; y] ← [c s; −s̄ c]·[x; y] to the
 // equal-length rows x and y.
 func rotateRows(x, y []complex128, c, s complex128) {
-	y = y[:len(x)]
+	if len(y) != len(x) {
+		panic(fmt.Sprintf("mat: rotating rows of %d and %d elements", len(x), len(y)))
+	}
 	ns := -cmplx.Conj(s)
+	if useAVX {
+		rotateRowsAVX(x, y, c, s, ns)
+		return
+	}
+	rotateRowsGo(x, y, c, s, ns)
+}
+
+// rotateRowsGo is the pure-Go rotateRows, with ns = −conj(s).
+func rotateRowsGo(x, y []complex128, c, s, ns complex128) {
+	y = y[:len(x)]
 	for j, a := range x {
 		b := y[j]
 		x[j] = c*a + s*b
@@ -168,12 +180,28 @@ func rotateRows(x, y []complex128, c, s complex128) {
 // over rows [0, rHi]: [col j, col j+1] ← [col j, col j+1]·Gᴴ. The two
 // columns are adjacent, so each row's pair is contiguous.
 func rotateColumnPair(m *CDense, j, rHi int, c, s complex128) {
+	if rHi < 0 {
+		return
+	}
+	if j < 0 || j+1 >= m.Cols || rHi >= m.Rows {
+		panic(fmt.Sprintf("mat: rotating columns %d, %d of rows 0..%d of a %d×%d matrix", j, j+1, rHi, m.Rows, m.Cols))
+	}
 	cs, ns := cmplx.Conj(s), -s
-	for i := 0; i <= rHi; i++ {
-		p := m.Data[i*m.Cols+j : i*m.Cols+j+2]
-		a, b := p[0], p[1]
-		p[0] = c*a + cs*b
-		p[1] = ns*a + c*b
+	if useAVX {
+		rotateColumnPairAVX(m.Data[j:], m.Cols, rHi+1, c, cs, ns)
+		return
+	}
+	rotateColumnPairGo(m.Data[j:], m.Cols, rHi+1, c, cs, ns)
+}
+
+// rotateColumnPairGo is the pure-Go rotateColumnPair over the pairs
+// p[i·stride : i·stride+2], i < rows, with cs = conj(s) and ns = −s.
+func rotateColumnPairGo(p []complex128, stride, rows int, c, cs, ns complex128) {
+	for i := 0; i < rows; i++ {
+		pair := p[i*stride : i*stride+2]
+		a, b := pair[0], pair[1]
+		pair[0] = c*a + cs*b
+		pair[1] = ns*a + c*b
 	}
 }
 

@@ -12,6 +12,15 @@ func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: vector length mismatch %d vs %d", len(x), len(y)))
 	}
+	if useAVX {
+		return dotAVX(x, y)
+	}
+	return dotGo(x, y)
+}
+
+// dotGo is the pure-Go Dot for x and y of equal length.
+func dotGo(x, y []float64) float64 {
+	y = y[:len(x)]
 	var s float64
 	for i, v := range x {
 		s += v * y[i]
@@ -44,8 +53,55 @@ func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: vector length mismatch %d vs %d", len(x), len(y)))
 	}
+	if useAVX {
+		axpyAVX(a, x, y)
+		return
+	}
+	axpyGo(a, x, y)
+}
+
+// axpyGo is the pure-Go Axpy for x and y of equal length.
+func axpyGo(a float64, x, y []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] += a * v
+	}
+}
+
+// MulVecTrans computes t = Aᵀ·x for the row-major len(x)×len(t) matrix a:
+// t[i] = Σ_j a[j·len(t)+i]·x[j], each sum taken from +0 in j order. It is
+// the half path's V·x, with V stored transposed so each state's row is
+// contiguous.
+func MulVecTrans(t, a, x []float64) {
+	q := len(t)
+	if len(a) != len(x)*q {
+		panic(fmt.Sprintf("mat: %d-element matrix for a %d×%d product", len(a), len(x), q))
+	}
+	if len(x) == 0 {
+		clear(t)
+		return
+	}
+	done := 0
+	if useAVX {
+		done = q &^ 15
+		mulVecTransAVX(t[:done], a, x, q)
+	}
+	mulVecTransGo(t[done:], a[done:], x, q)
+}
+
+// mulVecTransGo is MulVecTrans over the len(t) columns of a row-major
+// matrix with row stride q that a starts at.
+func mulVecTransGo(t, a, x []float64, q int) {
+	m := len(t)
+	if m == 0 {
+		return
+	}
+	clear(t)
+	for j, xj := range x {
+		row := a[j*q : j*q+m : j*q+m]
+		for i, v := range row {
+			t[i] += v * xj
+		}
 	}
 }
 
@@ -102,6 +158,14 @@ func axpyDot(a float64, x, y, w []float64) float64 {
 	if len(x) != len(w) || len(y) != len(w) {
 		panic(fmt.Sprintf("mat: vector length mismatch %d, %d vs %d", len(x), len(y), len(w)))
 	}
+	if useAVX {
+		return axpyDotAVX(a, x, y, w)
+	}
+	return axpyDotGo(a, x, y, w)
+}
+
+// axpyDotGo is the pure-Go axpyDot for x, y and w of equal length.
+func axpyDotGo(a float64, x, y, w []float64) float64 {
 	x, y = x[:len(w)], y[:len(w)]
 	var s float64
 	for i, wv := range w {
@@ -126,11 +190,14 @@ func axpyDot(a float64, x, y, w []float64) float64 {
 //
 // On amd64 with AVX, cAxpyDot (every MGS chain link but the last) and
 // CAxpy (the last link, and every Ritz-vector lift) run hand-written
-// kernels (vec_amd64.s) chosen once at init. They use no fused
-// multiply-add and keep the dot's running sum one sequential chain in
-// element order, so they match the Go loops, which stay as the fallback
-// and the reference, bit for bit; the speed-up comes from vectorizing the
-// axpy and the per-element products.
+// kernels (vec_amd64.s) chosen once at init, as do their real
+// counterparts axpyDot, Axpy and Dot, the half path's MulVecTrans, and
+// the Givens rotations of the projected eigensolve (eig.go). They use no
+// fused multiply-add and keep every dot's running sum one sequential
+// chain in element order, so they match the Go loops, which stay as the
+// fallback and the reference, bit for bit; the speed-up comes from
+// vectorizing the axpys, the per-element products and, in MulVecTrans
+// and the rotations, outputs that have no dependence on each other.
 
 // CDot returns the inner product xᴴy (conjugating x).
 func CDot(x, y []complex128) complex128 {

@@ -43,6 +43,18 @@ type storedDaemon struct {
 	st  *store.Store
 }
 
+// drain waits until the daemon's jobs have returned. The watcher marks a
+// job done before it appends the terminal record, so a test reads the log
+// only after draining.
+func (d *storedDaemon) drain(t *testing.T) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.srv.DrainJobs(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func (d *storedDaemon) close() {
 	d.ts.Close()
 	d.eng.Close()
@@ -123,11 +135,20 @@ func writePrefix(t *testing.T, dir, name string, data []byte, end int) string {
 // crash images cut from it — right after admission, mid-solve after the
 // second checkpoint, and just before the terminal record — each recover
 // on a fresh daemon to a report gob-identical to the reference.
+//
+// The job runs with char.threads 1. On a 1-worker daemon its shifts then
+// run one at a time, so the reference's checkpoint count is exact and the
+// mid-solve resume can be held to strictly less work than it; at 2
+// workers the count depends on scheduling and a bound taken from one run
+// would itself be a sample. The report does not depend on the schedule,
+// so every crash image also recovers on a 2-worker daemon and is held to
+// the same bits.
 func TestRecoveryFromCrashImages(t *testing.T) {
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "a.log")
-	a := newStoredDaemon(t, pathA, 2)
+	a := newStoredDaemon(t, pathA, 1)
 	spec := shrunkCaseSpec(t, 2)
+	spec.Char.Threads = 1
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +161,7 @@ func TestRecoveryFromCrashImages(t *testing.T) {
 	if ref.State != "done" || ref.Report == nil {
 		t.Fatalf("reference job ended %q err %q", ref.State, ref.Error)
 	}
+	a.drain(t)
 	a.close()
 
 	data, err := os.ReadFile(pathA)
@@ -184,8 +206,9 @@ func TestRecoveryFromCrashImages(t *testing.T) {
 	preTerminal := frames[terminalIdx-1].end
 
 	scenarios := []struct {
-		name string
-		cut  int
+		name    string
+		cut     int
+		workers int
 		// maxNewCks bounds the resumed generation's checkpoint count
 		// (-1 = no bound).
 		maxNewCks int
@@ -193,14 +216,15 @@ func TestRecoveryFromCrashImages(t *testing.T) {
 		// terminal straight from the log).
 		wantMarker bool
 	}{
-		{name: "scratch", cut: admission, maxNewCks: -1, wantMarker: true},
-		{name: "mid-solve", cut: midSolve, maxNewCks: totalCks - 1, wantMarker: true},
-		{name: "pre-terminal", cut: preTerminal, maxNewCks: -1, wantMarker: false},
+		{name: "scratch", cut: admission, workers: 2, maxNewCks: -1, wantMarker: true},
+		{name: "mid-solve", cut: midSolve, workers: 1, maxNewCks: totalCks - 1, wantMarker: true},
+		{name: "mid-solve-2-workers", cut: midSolve, workers: 2, maxNewCks: -1, wantMarker: true},
+		{name: "pre-terminal", cut: preTerminal, workers: 2, maxNewCks: -1, wantMarker: false},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			path := writePrefix(t, dir, sc.name+".log", data, sc.cut)
-			b := newStoredDaemon(t, path, 2)
+			b := newStoredDaemon(t, path, sc.workers)
 			defer b.close()
 			if n := b.srv.RecoveredJobs(); n != 1 {
 				t.Fatalf("recovered %d jobs, want 1", n)
@@ -212,13 +236,7 @@ func TestRecoveryFromCrashImages(t *testing.T) {
 			if !bytes.Equal(gobBytes(t, sansSolver(*got.Report)), gobBytes(t, sansSolver(*ref.Report))) {
 				t.Fatal("recovered report not bit-identical to the uninterrupted run")
 			}
-			// The watcher marks the job done before it appends the
-			// terminal record; read the log only once it has returned.
-			dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := b.srv.DrainJobs(dctx); err != nil {
-				t.Fatal(err)
-			}
+			b.drain(t)
 			final := parseLog(t, mustRead(t, path))
 			// Straggler checkpoints can trail the terminal append here too,
 			// so assert presence, not position.
