@@ -8,23 +8,15 @@
 //     -workers threads. Wall time is the makespan; per-case crossings must
 //     come out bit-identical to the solo run (the canonical-polish
 //     guarantee in core.collect).
-//  3. Shift-cache A/B — an enforcement run with the shift-factorization
-//     cache off (every shift refactors) vs on (an LRU over SMW factors),
-//     asserting bit-identical crossings and reporting the hit rate and
-//     wall-time delta.
-//  4. Priority + admission — batch enforcement jobs fill a bounded-
+//  3. Priority + admission — batch enforcement jobs fill a bounded-
 //     admission engine, then an interactive characterization submitted
 //     mid-batch must overtake the queued batch work and finish first; a
 //     fail-fast engine at its cap must reject the over-cap submit.
-//  5. Vector Fitting A/B — a synthetic many-port sweep fitted with one
+//  4. Vector Fitting A/B — a synthetic many-port sweep fitted with one
 //     worker vs the full pool (pool-routed PhaseFit column batches),
 //     asserting the fitted models are bit-identical and reporting the
 //     wall-time win (the BenchmarkSnpcheckFit scenario).
-//  6. Half-path A/B — reciprocal Table-I variants characterized with the
-//     full 2n×2n Hamiltonian (HalfOff) vs the half-size squared
-//     eigenproblem (HalfAuto), asserting crossing agreement within
-//     1e-9·ω_max and reporting the per-case speedup.
-//  7. Checkpoint resume — shrunk Table-I cases re-submitted from the first
+//  5. Checkpoint resume — shrunk Table-I cases re-submitted from the first
 //     half of their checkpoint stream, asserting bit-identical crossings
 //     from strictly fewer shifts.
 //
@@ -36,7 +28,7 @@
 // Results go to stdout and to -json (BENCH_fleet.json) so the throughput
 // trajectory stays trackable across PRs.
 //
-//	fleetbench -workers 16 -cases 1,2,3 -cachecase 2
+//	fleetbench -workers 16 -cases 1,2,3 -priocase 2
 package main
 
 import (
@@ -58,7 +50,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/hamiltonian"
 	"repro/internal/statespace"
 )
 
@@ -152,32 +143,6 @@ type vfRow struct {
 	RMSError     float64 `json:"rms_error"`
 }
 
-type cacheRow struct {
-	Case         int     `json:"case"`
-	OffNS        int64   `json:"cache_off_ns"`
-	OnNS         int64   `json:"cache_on_ns"`
-	Speedup      float64 `json:"speedup"`
-	Hits         uint64  `json:"cache_hits"`
-	Misses       uint64  `json:"cache_misses"`
-	HitRate      float64 `json:"hit_rate"`
-	Evictions    uint64  `json:"evictions"`
-	Iterations   int     `json:"iterations"`
-	BitIdentical bool    `json:"crossings_bit_identical"`
-}
-
-type halfRow struct {
-	Case        int     `json:"case"`
-	N           int     `json:"n"`
-	P           int     `json:"p"`
-	FullNS      int64   `json:"full_ns"`
-	HalfNS      int64   `json:"half_ns"`
-	Speedup     float64 `json:"speedup"`
-	Nlambda     int     `json:"nlambda"`
-	NlambdaFull int     `json:"nlambda_full"`
-	Agree       bool    `json:"crossings_agree"` // within 1e-9·ω_max
-	HalfPath    bool    `json:"half_path"`       // Report.HalfPath of the half leg
-}
-
 type resumeRow struct {
 	Case          int     `json:"case"`
 	N             int     `json:"n"`
@@ -205,10 +170,8 @@ type benchOut struct {
 	FleetCacheHits   uint64       `json:"fleet_cache_hits"` // engine-wide shift-cache totals for the fleet run
 	FleetCacheMisses uint64       `json:"fleet_cache_misses"`
 	Phases           []phaseRow   `json:"fleet_phase_utilization"`
-	Cache            *cacheRow    `json:"cache,omitempty"`
 	Priority         *priorityRow `json:"priority,omitempty"`
 	VectFit          *vfRow       `json:"vectfit,omitempty"`
-	HalfPath         []halfRow    `json:"halfpath,omitempty"`
 	Resume           []resumeRow  `json:"resume,omitempty"`
 }
 
@@ -217,10 +180,8 @@ func main() {
 	cases := flag.String("cases", "", "comma-separated case IDs (default: all twelve)")
 	cacheDir := flag.String("cache", "testdata/cases", "model cache directory")
 	jsonOut := flag.String("json", "BENCH_fleet.json", "machine-readable output file (empty to disable)")
-	cacheCase := flag.Int("cachecase", 2, "violating Table-I case for the shift-cache on/off enforcement A/B (0 to skip)")
 	prioCase := flag.Int("priocase", 2, "violating Table-I case for the batch jobs of the priority/admission demo (0 to skip)")
 	vfPorts := flag.Int("vfports", 8, "port count of the synthetic sweep for the Vector Fitting A/B (0 to skip)")
-	halfAB := flag.Bool("half", true, "run the half-path A/B on the reciprocal Table-I variants")
 	resumeOrder := flag.Int("resumeorder", 125, "shrunk order for the checkpoint-resume A/B on Table-I cases 1-3 (0 to skip)")
 	flag.Parse()
 
@@ -370,53 +331,7 @@ func main() {
 		float64(out.SoloWallNS)/1e9, float64(out.FleetWallNS)/1e9,
 		out.Speedup, out.ThroughputJobsS, out.AllBitIdentical)
 
-	// Phase 3: shift-cache on/off A/B — the same enforcement run with the
-	// factorization cache disabled (every shift refactors from scratch) vs
-	// enabled through an operator cache, asserting the final crossings are
-	// bit-identical and reporting the hit rate and the wall-time delta the
-	// cache buys.
-	if *cacheCase > 0 {
-		spec, err := repro.FindCase(*cacheCase)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err := statespace.CachedCase(spec, *cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		run := func(ops *hamiltonian.OpCache, cacheSize int) (*repro.EnforceReport, int64) {
-			opts := repro.EnforceOptions{Char: charOpts()}
-			opts.Char.Core.ShiftCacheSize = cacheSize
-			opts.Char.Ops = ops
-			start := time.Now()
-			_, rep, err := repro.Enforce(m, opts)
-			if err != nil {
-				log.Fatalf("enforce (cache=%d) case %d: %v", cacheSize, spec.ID, err)
-			}
-			return rep, time.Since(start).Nanoseconds()
-		}
-		offRep, offNS := run(nil, -1)
-		oc := hamiltonian.NewOpCache(repro.DefaultShiftCacheSize)
-		onRep, onNS := run(oc, 0)
-		st := oc.ShiftCache().Stats()
-		cr := cacheRow{
-			Case:  spec.ID,
-			OffNS: offNS, OnNS: onNS,
-			Speedup: float64(offNS) / float64(onNS),
-			Hits:    st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-			Iterations:   onRep.Iterations,
-			BitIdentical: sameCrossings(offRep.FinalReport, onRep.FinalReport),
-		}
-		if total := st.Hits + st.Misses; total > 0 {
-			cr.HitRate = float64(st.Hits) / float64(total)
-		}
-		out.Cache = &cr
-		fmt.Printf("cache A/B (case %d, %d iterations): %.3fs off → %.3fs on (%.2fx), %d hits / %d misses (%.1f%% hit rate, %d evictions), bit-identical: %v\n",
-			cr.Case, cr.Iterations, float64(offNS)/1e9, float64(onNS)/1e9, cr.Speedup,
-			cr.Hits, cr.Misses, 100*cr.HitRate, cr.Evictions, cr.BitIdentical)
-	}
-
-	// Phase 4: priority + admission demo. Batch enforcement jobs fill a
+	// Phase 3: priority + admission demo. Batch enforcement jobs fill a
 	// bounded-admission engine; an interactive characterization submitted
 	// mid-batch must overtake the queued batch work.
 	if *prioCase > 0 {
@@ -495,7 +410,7 @@ func main() {
 			nBatch, spec.ID, pr.Overtook, pr.OvertakeFactor, pr.FailFastRejected)
 	}
 
-	// Phase 5: Vector Fitting A/B — one worker vs the pool on a synthetic
+	// Phase 4: Vector Fitting A/B — one worker vs the pool on a synthetic
 	// many-port sweep (the per-column PhaseFit batches of vectfit.Fitter).
 	if *vfPorts > 0 {
 		const vfOrder, vfSamples = 6, 40
@@ -536,62 +451,7 @@ func main() {
 			vf.FitThreads, vf.Speedup, vf.BitIdentical)
 	}
 
-	// crossingsAgree checks two crossing lists pairwise against the
-	// cross-path tolerance 1e-9·ω_max: the two legs solve different
-	// eigenproblems (full vs squared), so agreement is to round-off, not
-	// bit-exact.
-	crossingsAgree := func(a, b *repro.Report) bool {
-		if len(a.Crossings) != len(b.Crossings) {
-			return false
-		}
-		tol := 1e-9 * a.OmegaMax
-		for i := range a.Crossings {
-			if d := a.Crossings[i] - b.Crossings[i]; d > tol || d < -tol {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Phase 6: half-path A/B — the reciprocal Table-I variants characterized
-	// with the half-size squared eigenproblem (HalfAuto engages on detected
-	// reciprocity) vs the full 2n×2n path forced with HalfOff. Crossings
-	// must agree within 1e-9·ω_max; the half leg should win ≥1.5× on the
-	// eigensolver-dominated cases.
-	if *halfAB {
-		for _, spec := range repro.ReciprocalTableICases() {
-			m, err := statespace.CachedCase(spec, *cacheDir)
-			if err != nil {
-				log.Fatalf("reciprocal case %d: %v", spec.ID, err)
-			}
-			leg := func(half repro.HalfMode) (*repro.Report, int64) {
-				opts := charOpts()
-				opts.Half = half
-				start := time.Now()
-				rep, err := repro.Characterize(m, opts)
-				if err != nil {
-					log.Fatalf("half A/B case %d (mode %v): %v", spec.ID, half, err)
-				}
-				return rep, time.Since(start).Nanoseconds()
-			}
-			fullRep, fullNS := leg(repro.HalfOff)
-			halfRep, halfNS := leg(repro.HalfAuto)
-			hr := halfRow{
-				Case: spec.ID, N: m.Order(), P: spec.P,
-				FullNS: fullNS, HalfNS: halfNS,
-				Speedup: float64(fullNS) / float64(halfNS),
-				Nlambda: len(halfRep.Crossings), NlambdaFull: len(fullRep.Crossings),
-				Agree:    crossingsAgree(fullRep, halfRep),
-				HalfPath: halfRep.HalfPath,
-			}
-			out.HalfPath = append(out.HalfPath, hr)
-			fmt.Printf("half A/B (case %d, n=%d p=%d): %.3fs full → %.3fs half (%.2fx), Nλ %d vs %d, agree@1e-9ωmax: %v, half path: %v\n",
-				hr.Case, hr.N, hr.P, float64(fullNS)/1e9, float64(halfNS)/1e9, hr.Speedup,
-				hr.NlambdaFull, hr.Nlambda, hr.Agree, hr.HalfPath)
-		}
-	}
-
-	// Phase 7: checkpoint-resume A/B — the durable-store restart economics
+	// Phase 5: checkpoint-resume A/B — the durable-store restart economics
 	// on shrunk Table-I cases. Each case is solved cold on the fleet engine
 	// while its per-shift checkpoint stream is recorded; the first half of
 	// the stream (in sequence order — callbacks land out of order) is folded

@@ -24,7 +24,6 @@ import (
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/detfloat"
 	"repro/internal/analysis/doccheck"
-	"repro/internal/analysis/pinrelease"
 	"repro/internal/analysis/pooltask"
 )
 
@@ -34,7 +33,6 @@ func suite() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		detfloat.Analyzer,
 		doccheck.Analyzer,
-		pinrelease.Analyzer,
 		pooltask.Analyzer,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })

@@ -46,7 +46,7 @@ func TestModuleIsClean(t *testing.T) {
 // TestSuiteIsComplete pins the analyzer roster: a new analyzer must be
 // registered here and in DESIGN.md's invariant table.
 func TestSuiteIsComplete(t *testing.T) {
-	want := []string{"ctxflow", "detfloat", "doccheck", "pinrelease", "pooltask"}
+	want := []string{"ctxflow", "detfloat", "doccheck", "pooltask"}
 	got := suite()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

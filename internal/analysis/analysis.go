@@ -5,10 +5,9 @@
 //
 // The analyzers under internal/analysis/... encode contracts that the
 // runtime test batteries can only probe dynamically — determinism of the
-// bit-identity packages (detfloat), the ShiftCache pin/release lifecycle
-// (pinrelease), the context-threading cancellation contract (ctxflow),
-// scheduler task hygiene (pooltask), and the documentation gate
-// (doccheck). cmd/repolint runs them all, standalone or as a
+// bit-identity packages (detfloat), the context-threading cancellation
+// contract (ctxflow), scheduler task hygiene (pooltask), and the
+// documentation gate (doccheck). cmd/repolint runs them all, standalone or as a
 // `go vet -vettool`.
 //
 // The framework is deliberately dependency-free: the build environment

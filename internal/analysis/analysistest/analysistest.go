@@ -115,7 +115,7 @@ func wantComments(loader *analysis.Loader, pkg *analysis.Package) ([]*expectatio
 	return out, nil
 }
 
-// wantPatterns splits `"re" "re2"` / `` `re` `` sequences into their
+// wantPatterns splits `"re" "re2"` / “ `re` “ sequences into their
 // unquoted regexp sources.
 func wantPatterns(s string) ([]string, error) {
 	var out []string

@@ -67,15 +67,6 @@ type Options struct {
 	// MaxShifts caps the total number of processed shifts as a safety
 	// valve. Default 10000.
 	MaxShifts int
-	// ShiftCacheSize controls the shift-factorization cache on the solve's
-	// Hamiltonian operator (hamiltonian.ShiftCache): 0 attaches a cache of
-	// DefaultShiftCacheSize entries when the operator has none yet (an
-	// engine-attached shared cache is kept), > 0 likewise with that
-	// capacity, and < 0 detaches/disables caching for this operator. The
-	// cache only reuses factored SMW state keyed on exact shift bits and
-	// the model's kernel epoch, so results are bit-identical with the
-	// cache on, off, or thrashing.
-	ShiftCacheSize int
 	// Pool optionally points at a shared worker pool: the solve then runs
 	// as one job among many on that pool's workers and Threads only sets
 	// the startup interval count N = κT (defaulting to the pool width).
@@ -196,16 +187,13 @@ func (o *Options) setDefaults() {
 	if o.MaxShifts == 0 {
 		o.MaxShifts = 10000
 	}
-	if o.ShiftCacheSize == 0 {
-		o.ShiftCacheSize = DefaultShiftCacheSize
-	}
 }
 
-// DefaultShiftCacheSize is the factorization-cache capacity attached when
-// Options.ShiftCacheSize is left zero: comfortably above the startup shift
-// count κT plus the refinement tail of a typical Table-I solve, and one
-// 2p×2p complex LU per entry keeps even a 64-entry cache in the tens of
-// kilobytes for realistic port counts.
+// DefaultShiftCacheSize is the capacity of the factorization cache a solve
+// attaches to an operator that has none yet: comfortably above the
+// startup shift count κT plus the refinement tail of a typical Table-I
+// solve, and one 2p×2p complex LU per entry keeps even a 64-entry cache in
+// the tens of kilobytes for realistic port counts.
 const DefaultShiftCacheSize = 64
 
 // ShiftRecord documents one completed single-shift iteration.

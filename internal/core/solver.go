@@ -35,7 +35,7 @@ func EstimateOmegaMax(op *hamiltonian.Op, seed int64) (float64, error) {
 }
 
 // runShift executes one single-shift iteration S(jω, ρ₀) on a factored
-// shift-invert operator — freshly factored, or pinned from the operator's
+// shift-invert operator — freshly factored, or served from the operator's
 // shift cache when an earlier solve on the same operator factored the
 // same shift.
 // When the operator carries the half-size reciprocal path, the iteration

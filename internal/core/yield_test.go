@@ -22,7 +22,7 @@ func TestYieldInteractiveInline(t *testing.T) {
 	batch2 := pool.NewClient(ClientOptions{Priority: PriorityBatch})
 	inter := pool.NewClient(ClientOptions{Priority: PriorityInteractive})
 
-	ranOn := make(chan int, 1)    // worker index the interactive task executed on
+	ranOn := make(chan int, 1) // worker index the interactive task executed on
 	interDone := make(chan error, 1)
 	batchRan := make(chan struct{}, 1)
 	batch2Done := make(chan error, 1)

@@ -86,7 +86,8 @@ type EngineOptions struct {
 // packed-kernel epoch, and one LRU of factored SMW shifts. Four per-solve
 // defaults, so a handful of concurrent jobs can keep their shifts
 // resident at once. Results are bit-identical with or without sharing —
-// the cache only skips redundant factorization work.
+// the cache only skips redundant factorization work. Exported because
+// perfbench compiles against it.
 const DefaultShiftCacheSize = 4 * core.DefaultShiftCacheSize
 
 // Engine owns the shared worker pool and tracks in-flight jobs.
@@ -128,7 +129,7 @@ func NewEngine(o EngineOptions) *Engine {
 }
 
 // ShiftCacheStats snapshots the engine-wide factorization cache's
-// counters.
+// counters. Kept because perfbench reads it.
 func (e *Engine) ShiftCacheStats() hamiltonian.CacheStats {
 	return e.ops.ShiftCache().Stats()
 }

@@ -24,13 +24,14 @@ import (
 // core.canonicalPolish), and a characterization re-run on the same
 // operator asks for the same sweep shifts.
 //
-// Lifecycle: Get pins the entry (refcount) for the duration of the
-// caller's Arnoldi run; ShiftOp.Release unpins it. Eviction walks the LRU
-// from the cold end and skips pinned entries, so the cache may transiently
-// exceed capacity when everything resident is in flight; the overshoot is
-// bounded by the worker count. An evicted-while-referenced factor stays
-// valid for its holders (it is immutable and garbage-collected), eviction
-// only forgets it.
+// Eviction drops the coldest entry whenever an insert pushes the cache past
+// capacity, whether or not some ShiftOp still applies its factor: a factor
+// is immutable and garbage-collected, so an evicted one stays valid for
+// whoever holds it, and eviction only forgets it (a later request for the
+// same shift factors again).
+//
+// The cache measured 0 hits per job on every perfbench workload; it and
+// its Stats stay only because perfbench reads them.
 //
 // A ShiftCache is safe for concurrent use. Concurrent misses on the same
 // key are collapsed: the first caller factors, later callers wait on the
@@ -56,10 +57,8 @@ type shiftKey struct {
 }
 
 type cacheEntry struct {
-	cache *ShiftCache
-	key   shiftKey
-	elem  *list.Element
-	refs  int // pins, guarded by cache.mu
+	key  shiftKey
+	elem *list.Element
 
 	ready chan struct{} // closed once fac/err are set
 	fac   *shiftFactor
@@ -86,7 +85,7 @@ type CacheStats struct {
 
 // Stats returns cumulative cache-wide counters. Hits include waits on an
 // in-flight factorization (no setup work performed); misses count actual
-// factorizations.
+// factorizations. Kept because perfbench reads it (hamiltonian.cache_*).
 func (c *ShiftCache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
@@ -114,19 +113,18 @@ func shiftKeyFor(op *Op, theta complex128) shiftKey {
 	}
 }
 
-// acquire returns the pinned entry for key, plus whether this caller must
+// acquire returns the entry for key, plus whether this caller must
 // populate it (miss). On a hit the entry may still be in flight — wait on
 // ready before touching fac/err.
 func (c *ShiftCache) acquire(key shiftKey) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
-		e.refs++
 		c.lru.MoveToFront(e.elem)
 		c.hits.Add(1)
 		return e, false
 	}
-	e := &cacheEntry{cache: c, key: key, refs: 1, ready: make(chan struct{})}
+	e := &cacheEntry{key: key, ready: make(chan struct{})}
 	c.entries[key] = e
 	e.elem = c.lru.PushFront(e)
 	c.misses.Add(1)
@@ -134,35 +132,12 @@ func (c *ShiftCache) acquire(key shiftKey) (*cacheEntry, bool) {
 	return e, true
 }
 
-// release unpins an entry and retries any eviction debt the pin was
-// blocking.
-func (c *ShiftCache) release(e *cacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e.refs--
-	if c.lru.Len() > c.capacity {
-		c.evictLocked()
-	}
-}
-
-// evictLocked drops cold unpinned entries until the cache fits capacity or
-// only pinned entries remain. Callers hold c.mu.
+// evictLocked drops the coldest entries until the cache fits capacity.
+// Callers hold c.mu.
 func (c *ShiftCache) evictLocked() {
 	for c.lru.Len() > c.capacity {
-		evicted := false
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*cacheEntry)
-			if e.refs > 0 {
-				continue // pinned by an in-flight run
-			}
-			c.removeLocked(e)
-			c.evictions.Add(1)
-			evicted = true
-			break
-		}
-		if !evicted {
-			return // everything resident is in flight; allow overflow
-		}
+		c.removeLocked(c.lru.Back().Value.(*cacheEntry))
+		c.evictions.Add(1)
 	}
 }
 
@@ -177,14 +152,13 @@ func (c *ShiftCache) removeLocked(e *cacheEntry) {
 func (c *ShiftCache) discard(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e.refs--
 	if e.elem != nil {
 		c.removeLocked(e)
 	}
 }
 
-// shiftInvert is the cached ShiftInvert path: pin-or-factor, then wrap the
-// shared factor in a pooled per-caller ShiftOp. A hit performs no
+// shiftInvert is the cached ShiftInvert path: look up or factor, then wrap
+// the shared factor in a pooled per-caller ShiftOp. A hit performs no
 // factorization work and no allocations.
 func (c *ShiftCache) shiftInvert(op *Op, theta complex128) (*ShiftOp, error) {
 	e, mustFactor := c.acquire(shiftKeyFor(op, theta))
@@ -201,7 +175,7 @@ func (c *ShiftCache) shiftInvert(op *Op, theta complex128) (*ShiftOp, error) {
 		c.discard(e)
 		return nil, err
 	}
-	return op.newShiftOp(e.fac, e), nil
+	return op.newShiftOp(e.fac), nil
 }
 
 // shiftInvertHalf is the cached ShiftInvert path for the half-size
@@ -223,7 +197,7 @@ func (c *ShiftCache) shiftInvertHalf(h *HalfOp, tau complex128) (*HalfShiftOp, e
 		c.discard(e)
 		return nil, err
 	}
-	return h.newShiftOp(e.fac, e), nil
+	return h.newShiftOp(e.fac), nil
 }
 
 // SetShiftCache attaches (or, with nil, detaches) a factorization cache.
@@ -246,7 +220,8 @@ func (op *Op) EnsureShiftCache(capacity int) *ShiftCache {
 
 // OpCacheStats reports cache traffic attributed to this operator (hits and
 // misses seen by its own ShiftInvert calls), regardless of how many other
-// operators share the cache. Zero without an attached cache.
+// operators share the cache. Zero without an attached cache. Kept because
+// perfbench reads it.
 func (op *Op) OpCacheStats() CacheStats {
 	return CacheStats{Hits: op.cacheHits.Load(), Misses: op.cacheMisses.Load()}
 }

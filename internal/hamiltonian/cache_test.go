@@ -209,8 +209,8 @@ func TestShiftCacheEpochInvalidation(t *testing.T) {
 
 // TestShiftCacheConcurrentInvalidation hammers one cached operator from
 // many goroutines — ShiftInvert/Apply/Release interleaved with epoch bumps
-// — and relies on -race to catch lifecycle races (pinned-entry eviction,
-// publish/acquire, epoch reads). Results aren't compared here (epoch flips
+// — and relies on -race to catch lifecycle races (eviction of in-flight
+// entries, publish/acquire, epoch reads). Results aren't compared here (epoch flips
 // mid-flight make them timing-dependent by design); correctness of values
 // is covered by the sequential tests above.
 func TestShiftCacheConcurrentInvalidation(t *testing.T) {
@@ -258,4 +258,58 @@ func TestShiftCacheConcurrentInvalidation(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestShiftCacheEvictsInFlightEntry: an entry whose ShiftOp is still held
+// (not Released) is evicted like any other once an insert pushes the cache
+// past capacity. The held operator keeps applying its (immutable) factor
+// bit-identically, and asking for its shift again factors afresh.
+func TestShiftCacheEvictsInFlightEntry(t *testing.T) {
+	m := testModel(t, 26, 2, 14, 1.05)
+	op, err := New(m, Scattering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wmax := m.MaxPoleMagnitude()
+	theta1, theta2 := complex(0, 0.3*wmax), complex(0, 0.8*wmax)
+	rng := rand.New(rand.NewSource(8))
+	x := randCVec(rng, op.Dim())
+
+	ref, err := op.ShiftInvert(theta1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := applyBits(t, ref, x)
+	ref.Release()
+
+	cache := NewShiftCache(1)
+	op.SetShiftCache(cache)
+	held, err := op.ShiftInvert(theta1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so2, err := op.ShiftInvert(theta2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ev := cache.Len(), cache.Stats().Evictions; n != 1 || ev != 1 {
+		t.Fatalf("capacity-1 cache holds %d entries after %d evictions with both operators held, want 1 and 1", n, ev)
+	}
+	so2.Release()
+	if got := applyBits(t, held, x); !sameBits(got, want) {
+		t.Fatal("evicted in-flight operator no longer applies bit-identically")
+	}
+	held.Release()
+
+	again, err := op.ShiftInvert(theta1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := applyBits(t, again, x); !sameBits(got, want) {
+		t.Fatal("re-factored shift differs from the cacheless reference")
+	}
+	again.Release()
+	if st := cache.Stats(); st.Misses != 3 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want 3 misses and 0 hits (θ₁ must miss again)", st)
+	}
 }

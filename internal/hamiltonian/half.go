@@ -46,46 +46,11 @@ import (
 // arbitration and ω_max estimation stay on the full-size operator — the
 // half path accelerates only the sweep.
 
-// HalfMode selects whether the half-size reciprocal path may be used.
-type HalfMode int
-
-const (
-	// HalfAuto (default) uses the half-size path exactly when reciprocity
-	// detection succeeds on the source model (exact, or within
-	// NewOptions.HalfTol).
-	HalfAuto HalfMode = iota
-	// HalfOff always runs the full-size 2n×2n sweep.
-	HalfOff
-	// HalfForce asserts reciprocity without detection — the caller
-	// guarantees H = Hᵀ. Forcing a non-reciprocal model produces wrong
-	// sweeps; the arbiter may mask false positives but missed crossings
-	// are unrecoverable.
-	HalfForce
-)
-
-// String names the half mode for reports.
-func (h HalfMode) String() string {
-	switch h {
-	case HalfAuto:
-		return "auto"
-	case HalfOff:
-		return "off"
-	case HalfForce:
-		return "force"
-	default:
-		return "unknown"
-	}
-}
-
-// NewOptions configures operator construction beyond the representation.
-type NewOptions struct {
-	// Half gates the half-size reciprocal path (default HalfAuto).
-	Half HalfMode
-	// HalfTol is the reciprocity-detection tolerance under HalfAuto:
-	// 0 detects only bit-exact symmetry; a positive value admits models
-	// reciprocal up to round-off (see statespace.Model.Reciprocal).
-	HalfTol float64
-}
+// NewOptions is the option set of NewWith. It has no fields: the half
+// path is chosen by the code (see New), not by the caller. The type
+// and NewWith are kept because the benchmark module (perfbench) compiles
+// against them.
+type NewOptions struct{}
 
 // HalfOp is the half-size operator N = A² + U·V of a reciprocal model's
 // Hamiltonian, sharing its parent Op's model, shift cache and stats. It is
@@ -208,7 +173,8 @@ func (h *HalfOp) shiftKeyFor(tau complex128) shiftKey {
 // factorization and applies then run entirely in real arithmetic. The
 // attached ShiftCache (the parent Op's) is consulted first; half-path
 // entries carry their own operator identity so they never mix with
-// full-path factors. Callers must Release the returned operator.
+// full-path factors. Release the returned operator when done to recycle
+// its scratch.
 func (h *HalfOp) ShiftInvert(tau complex128) (*HalfShiftOp, error) {
 	if imag(tau) != 0 {
 		return nil, fmt.Errorf("hamiltonian: half shift %v must be real", tau)
@@ -220,7 +186,7 @@ func (h *HalfOp) ShiftInvert(tau complex128) (*HalfShiftOp, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.newShiftOp(fac, nil), nil
+	return h.newShiftOp(fac), nil
 }
 
 // factorShift runs the half-size SMW setup for one shift: the real 2p×2p
@@ -250,9 +216,8 @@ func (h *HalfOp) factorShift(tau complex128) (*shiftFactor, error) {
 // vectors are real. Like ShiftOp it is single-goroutine; concurrent
 // HalfShiftOps may share the factorization. Call Release when done.
 type HalfShiftOp struct {
-	h     *HalfOp
-	fac   *shiftFactor
-	entry *cacheEntry
+	h   *HalfOp
+	fac *shiftFactor
 	// scratch
 	g, gu   []float64 // n
 	s, t    []float64 // 2p
@@ -260,9 +225,9 @@ type HalfShiftOp struct {
 }
 
 // newShiftOp wraps a factor in a (pooled) HalfShiftOp shell.
-func (h *HalfOp) newShiftOp(fac *shiftFactor, entry *cacheEntry) *HalfShiftOp {
+func (h *HalfOp) newShiftOp(fac *shiftFactor) *HalfShiftOp {
 	if so, ok := h.shiftPool.Get().(*HalfShiftOp); ok {
-		so.fac, so.entry = fac, entry
+		so.fac = fac
 		return so
 	}
 	n, q := h.n, 2*h.p
@@ -270,7 +235,6 @@ func (h *HalfOp) newShiftOp(fac *shiftFactor, entry *cacheEntry) *HalfShiftOp {
 	return &HalfShiftOp{
 		h:       h,
 		fac:     fac,
-		entry:   entry,
 		g:       buf[:n],
 		gu:      buf[n : 2*n],
 		s:       buf[2*n : 2*n+q],
@@ -279,15 +243,11 @@ func (h *HalfOp) newShiftOp(fac *shiftFactor, entry *cacheEntry) *HalfShiftOp {
 	}
 }
 
-// Release returns the operator's scratch to the pool and unpins its cache
-// entry, mirroring ShiftOp.Release.
+// Release returns the operator's scratch to the pool, mirroring
+// ShiftOp.Release.
 func (so *HalfShiftOp) Release() {
 	if so == nil {
 		return
-	}
-	if so.entry != nil {
-		so.entry.cache.release(so.entry)
-		so.entry = nil
 	}
 	so.fac = nil
 	so.h.shiftPool.Put(so)

@@ -285,8 +285,9 @@ func TestHalfCacheHitBitIdentity(t *testing.T) {
 }
 
 // TestHalfPathGating covers the dispatch matrix: non-reciprocal models
-// stay on the full path under HalfAuto, HalfOff disables the half path on
-// reciprocal models, and a near-reciprocal model flips with HalfTol.
+// (including a bit-perturbed reciprocal one) stay on the full path, a
+// reciprocal model takes the half path, and the in-package newOp hook
+// keeps a reciprocal model on the full path.
 func TestHalfPathGating(t *testing.T) {
 	nonrec := testModel(t, 35, 3, 18, 1.05)
 	op, err := New(nonrec, Scattering)
@@ -301,15 +302,15 @@ func TestHalfPathGating(t *testing.T) {
 	}
 
 	rec := reciprocalModel(t, 36, 2, 12, 1.05)
-	op, err = NewWith(rec, Scattering, NewOptions{Half: HalfOff})
+	op, err = newOp(rec, Scattering, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if op.Half() != nil {
-		t.Fatal("HalfOff still engaged the half path")
+		t.Fatal("newOp(allowHalf=false) still engaged the half path")
 	}
 
-	// Perturb one residue: exact detection must fail, tolerant must pass.
+	// Perturb one residue: exact detection must fail.
 	pert := rec.Clone()
 	pert.Cols[0].C.Set(1, 0, pert.Cols[0].C.At(1, 0)*(1+1e-12))
 	op, err = New(pert, Scattering)
@@ -319,12 +320,13 @@ func TestHalfPathGating(t *testing.T) {
 	if op.Half() != nil {
 		t.Fatal("bit-perturbed model must not pass exact detection")
 	}
-	op, err = NewWith(pert, Scattering, NewOptions{Half: HalfAuto, HalfTol: 1e-9})
+
+	op, err = New(rec, Scattering)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if op.Half() == nil {
-		t.Fatal("HalfTol=1e-9 should admit a 1e-12 perturbation")
+		t.Fatal("reciprocal model did not engage the half path")
 	}
 	if th := op.SweepTheta(2e9, 1e8); th != complex(-4e18, 0) {
 		t.Fatalf("half-path SweepTheta = %v", th)

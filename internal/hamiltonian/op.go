@@ -78,9 +78,9 @@ type Op struct {
 	id uint64
 
 	// half, when non-nil, is the half-size reciprocal sweep operator
-	// (spec(M)² on n states instead of spec(M) on 2n). Built by NewWith
-	// when the model is reciprocal and the half path is enabled; shares
-	// this Op's model, cache and traffic counters.
+	// (spec(M)² on n states instead of spec(M) on 2n). Built by New when
+	// the model is reciprocal; shares this Op's model, cache and traffic
+	// counters.
 	half *HalfOp
 
 	// cache, when set, memoizes factored shift state across ShiftInvert
@@ -136,29 +136,29 @@ func (op *Op) getPanels() *smwPanels {
 // unchanged, but the B/C scale disparity of physical macromodels, which
 // would otherwise make projected eigenproblems hopelessly ill conditioned,
 // is removed.
+//
+// Reciprocity is detected on the source model — before balancing, so
+// bit-exact symmetry of as-built models is seen — and, when it holds, the
+// half-size sweep operator is attached (see HalfOp). A half-path
+// construction failure (e.g. a singular coupling) falls back to the full
+// path.
 func New(m *statespace.Model, rep Representation) (*Op, error) {
-	return NewWith(m, rep, NewOptions{})
+	return newOp(m, rep, true)
 }
 
-// NewWith builds the Hamiltonian operator with explicit path options. With
-// Half == HalfAuto (the default) reciprocity is detected on the source
-// model — before balancing, so bit-exact symmetry of as-built models is
-// seen — and, when it holds, the half-size sweep operator is attached
-// (see HalfOp). HalfForce skips detection; HalfOff never attaches it.
-// Under HalfAuto a half-path construction failure (e.g. a singular
-// coupling) silently falls back to the full path; under HalfForce it is
-// an error.
-func NewWith(m *statespace.Model, rep Representation, opts NewOptions) (*Op, error) {
+// NewWith is New. It is kept, with its empty NewOptions, because the
+// benchmark module (perfbench) compiles against it.
+func NewWith(m *statespace.Model, rep Representation, _ NewOptions) (*Op, error) {
+	return newOp(m, rep, true)
+}
+
+// newOp builds the operator; allowHalf false keeps a reciprocal model on
+// the full path, which in-package tests use to compare the two paths.
+func newOp(m *statespace.Model, rep Representation, allowHalf bool) (*Op, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	useHalf := false
-	switch opts.Half {
-	case HalfForce:
-		useHalf = true
-	case HalfAuto:
-		useHalf = m.Reciprocal(opts.HalfTol)
-	}
+	useHalf := allowHalf && m.Reciprocal(0)
 	m = m.Balanced()
 	p := m.P
 	var w *mat.Dense
@@ -209,12 +209,7 @@ func NewWith(m *statespace.Model, rep Representation, opts NewOptions) (*Op, err
 	}
 	op := &Op{Model: m, Rep: rep, N: m.Order(), P: p, w: w, id: opIDs.Add(1)}
 	if useHalf {
-		h, err := newHalfOp(op)
-		if err != nil {
-			if opts.Half == HalfForce {
-				return nil, err
-			}
-		} else {
+		if h, err := newHalfOp(op); err == nil {
 			op.half = h
 		}
 	}
@@ -341,13 +336,11 @@ type shiftFactor struct {
 // immutable shiftFactor plus private apply scratch. Each apply costs
 // O(n·p). Not safe for concurrent use (scratch buffers); create one per
 // goroutine — concurrent ShiftOps may share the underlying factorization.
-// Call Release when done: it unpins the cache entry (if the operator came
-// from a ShiftCache) and recycles the scratch. Using a ShiftOp after
+// Call Release when done: it recycles the scratch. Using a ShiftOp after
 // Release is a bug.
 type ShiftOp struct {
-	op    *Op
-	fac   *shiftFactor
-	entry *cacheEntry // non-nil iff pinned in a ShiftCache
+	op  *Op
+	fac *shiftFactor
 	// scratch
 	g, gu   []complex128 // 2n
 	t, s    []complex128 // 2p
@@ -355,9 +348,9 @@ type ShiftOp struct {
 }
 
 // newShiftOp wraps a factor in a (pooled) ShiftOp shell.
-func (op *Op) newShiftOp(fac *shiftFactor, entry *cacheEntry) *ShiftOp {
+func (op *Op) newShiftOp(fac *shiftFactor) *ShiftOp {
 	if so, ok := op.shiftPool.Get().(*ShiftOp); ok {
-		so.fac, so.entry = fac, entry
+		so.fac = fac
 		return so
 	}
 	n, p2 := op.N, 2*op.P
@@ -366,7 +359,6 @@ func (op *Op) newShiftOp(fac *shiftFactor, entry *cacheEntry) *ShiftOp {
 	return &ShiftOp{
 		op:      op,
 		fac:     fac,
-		entry:   entry,
 		g:       buf[:2*n],
 		gu:      buf[2*n : 4*n],
 		t:       buf[4*n : 4*n+p2],
@@ -375,18 +367,14 @@ func (op *Op) newShiftOp(fac *shiftFactor, entry *cacheEntry) *ShiftOp {
 	}
 }
 
-// Release returns the operator's scratch to the pool and, when the
-// factorization came from a ShiftCache, unpins its entry so eviction may
-// reclaim it. Safe on nil. Idempotent within one ownership cycle only —
-// after Release the ShiftOp may be handed to another goroutine by the
-// pool.
+// Release returns the operator's scratch to the pool. Safe on nil.
+// Idempotent within one ownership cycle only — after Release the ShiftOp
+// may be handed to another goroutine by the pool. Kept as a method (rather
+// than folded into garbage collection) because the scratch pool keeps
+// solves allocation-free and perfbench compiles against it.
 func (so *ShiftOp) Release() {
 	if so == nil {
 		return
-	}
-	if so.entry != nil {
-		so.entry.cache.release(so.entry)
-		so.entry = nil
 	}
 	so.fac = nil
 	so.op.shiftPool.Put(so)
@@ -412,7 +400,8 @@ func (so *ShiftOp) Release() {
 // factored state is looked up by (op, kernel epoch, exact ϑ bits) first and
 // only factored on a miss; either way the returned operator is bit-for-bit
 // the operator the uncached path would build, so solves are unaffected by
-// cache state. Callers must Release the returned ShiftOp.
+// cache state. Release the returned ShiftOp when done to recycle its
+// scratch.
 func (op *Op) ShiftInvert(theta complex128) (*ShiftOp, error) {
 	if c := op.cache.Load(); c != nil {
 		return c.shiftInvert(op, theta)
@@ -421,7 +410,7 @@ func (op *Op) ShiftInvert(theta complex128) (*ShiftOp, error) {
 	if err != nil {
 		return nil, err
 	}
-	return op.newShiftOp(fac, nil), nil
+	return op.newShiftOp(fac), nil
 }
 
 // factorShift runs the full SMW setup for one shift: both resolvent panels

@@ -1,7 +1,6 @@
 package hamiltonian
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"weak"
@@ -41,14 +40,9 @@ type OpCache struct {
 	ops    map[opCacheKey]opCacheEntry
 }
 
-// opCacheKey includes the half-path options: two jobs asking for the same
-// model with different path settings (e.g. an A/B benchmark forcing the
-// full path against an auto half path) must get distinct operators.
 type opCacheKey struct {
-	model   weak.Pointer[statespace.Model]
-	rep     Representation
-	half    HalfMode
-	halfTol uint64 // math.Float64bits of NewOptions.HalfTol
+	model weak.Pointer[statespace.Model]
+	rep   Representation
 }
 
 type opCacheEntry struct {
@@ -57,7 +51,8 @@ type opCacheEntry struct {
 }
 
 // NewOpCache builds an operator cache whose Ops share one ShiftCache of
-// the given capacity.
+// the given capacity. OpCache and NewOpCache stay while perfbench's
+// enforce workload compiles against them.
 func NewOpCache(shiftCapacity int) *OpCache {
 	return &OpCache{
 		shifts: NewShiftCache(shiftCapacity),
@@ -74,14 +69,8 @@ func (oc *OpCache) ShiftCache() *ShiftCache { return oc.shifts }
 // pure peek — it never builds an operator — returning zeros when the cache
 // holds none (never characterized, or rebuilt after an epoch move).
 func (oc *OpCache) StatsFor(m *statespace.Model, rep Representation) CacheStats {
-	return oc.StatsForWith(m, rep, NewOptions{})
-}
-
-// StatsForWith is StatsFor for an operator requested with explicit path
-// options.
-func (oc *OpCache) StatsForWith(m *statespace.Model, rep Representation, opts NewOptions) CacheStats {
 	oc.mu.Lock()
-	e, ok := oc.ops[opKeyFor(m, rep, opts)]
+	e, ok := oc.ops[opCacheKey{model: weak.Make(m), rep: rep}]
 	oc.mu.Unlock()
 	if !ok {
 		return CacheStats{}
@@ -89,25 +78,11 @@ func (oc *OpCache) StatsForWith(m *statespace.Model, rep Representation, opts Ne
 	return e.op.OpCacheStats()
 }
 
-func opKeyFor(m *statespace.Model, rep Representation, opts NewOptions) opCacheKey {
-	return opCacheKey{
-		model:   weak.Make(m),
-		rep:     rep,
-		half:    opts.Half,
-		halfTol: math.Float64bits(opts.HalfTol),
-	}
-}
-
-// Get returns the shared operator for (m, rep) with default path options,
-// building it on first use or after m's kernel epoch has moved. Errors are
-// those of New and are not memoized.
+// Get returns the shared operator for (m, rep), building it on first use
+// or after m's kernel epoch has moved. Errors are those of New and are not
+// memoized.
 func (oc *OpCache) Get(m *statespace.Model, rep Representation) (*Op, error) {
-	return oc.GetWith(m, rep, NewOptions{})
-}
-
-// GetWith is Get for an operator built with explicit path options.
-func (oc *OpCache) GetWith(m *statespace.Model, rep Representation, opts NewOptions) (*Op, error) {
-	k := opKeyFor(m, rep, opts)
+	k := opCacheKey{model: weak.Make(m), rep: rep}
 	epoch := m.KernelEpoch()
 	oc.mu.Lock()
 	if e, ok := oc.ops[k]; ok && e.epoch == epoch {
@@ -119,7 +94,7 @@ func (oc *OpCache) GetWith(m *statespace.Model, rep Representation, opts NewOpti
 	// inversion) and must not serialize unrelated models. A racing build of
 	// the same key wastes one setup; last writer wins and both Ops are
 	// valid.
-	op, err := NewWith(m, rep, opts)
+	op, err := New(m, rep)
 	if err != nil {
 		return nil, err
 	}

@@ -5,16 +5,50 @@ import (
 	"testing"
 
 	"repro/internal/hamiltonian"
+	"repro/internal/mat"
 	"repro/internal/statespace"
 )
 
+// fullPathTwin returns a copy of the reciprocal model m realizing the same
+// H(s) with column 0's blocks listed in reverse order — a state
+// permutation. Reciprocity detection is structural and wants every column
+// to list its poles in one order, so hamiltonian.New keeps the twin on the
+// full 2n×2n path. It is the in-package way to run the full path on a
+// reciprocal transfer function now that no option selects the path.
+func fullPathTwin(t *testing.T, m *statespace.Model) *statespace.Model {
+	t.Helper()
+	tw := m.Clone()
+	src, dst := &m.Cols[0], &tw.Cols[0]
+	starts := make([]int, len(src.Blocks))
+	for i, off := 1, 0; i < len(src.Blocks); i++ {
+		off += src.Blocks[i-1].Size
+		starts[i] = off
+	}
+	c := mat.NewDense(m.P, src.Order())
+	off := 0
+	for i := len(src.Blocks) - 1; i >= 0; i-- {
+		b := src.Blocks[i]
+		dst.Blocks[len(src.Blocks)-1-i] = b
+		for r := 0; r < m.P; r++ {
+			for j := 0; j < b.Size; j++ {
+				c.Set(r, off+j, src.C.At(r, starts[i]+j))
+			}
+		}
+		off += b.Size
+	}
+	dst.C = c
+	if tw.Reciprocal(0) {
+		t.Fatal("block-reversed twin still passes reciprocity detection")
+	}
+	return tw
+}
+
 // TestHalfPathMatchesFullOnReciprocalCases characterizes scaled-down
-// reciprocal Table-I variants twice — full 2n×2n path forced with HalfOff
-// vs the half-size squared path under HalfAuto — and requires the same
+// reciprocal Table-I variants twice — on the half-size squared path, and
+// on the full 2n×2n path through fullPathTwin — and requires the same
 // crossing count with frequencies agreeing within 1e-9·ω_max. The two
 // legs solve different eigenproblems (λ vs μ = λ²), so agreement is to
-// round-off, not bit-exact; 1e-9·ω_max is the cross-path pin the bench
-// suite also enforces.
+// round-off, not bit-exact.
 func TestHalfPathMatchesFullOnReciprocalCases(t *testing.T) {
 	for _, spec := range statespace.ReciprocalTableICases() {
 		if spec.P > 20 {
@@ -28,22 +62,20 @@ func TestHalfPathMatchesFullOnReciprocalCases(t *testing.T) {
 		if !m.Reciprocal(0) {
 			t.Fatalf("case %d: generated model is not bit-exactly reciprocal", spec.ID)
 		}
-		leg := func(half hamiltonian.HalfMode) *Report {
-			o := charOpts()
-			o.Half = half
-			rep, err := Characterize(m, o)
+		leg := func(m *statespace.Model) *Report {
+			rep, err := Characterize(m, charOpts())
 			if err != nil {
-				t.Fatalf("case %d (mode %v): %v", spec.ID, half, err)
+				t.Fatalf("case %d: %v", spec.ID, err)
 			}
 			return rep
 		}
-		full := leg(hamiltonian.HalfOff)
-		half := leg(hamiltonian.HalfAuto)
+		full := leg(fullPathTwin(t, m))
+		half := leg(m)
 		if full.HalfPath {
-			t.Fatalf("case %d: HalfOff leg reports HalfPath", spec.ID)
+			t.Fatalf("case %d: full-path twin reports HalfPath", spec.ID)
 		}
 		if !half.HalfPath {
-			t.Fatalf("case %d: HalfAuto leg did not engage the half path on a reciprocal model", spec.ID)
+			t.Fatalf("case %d: the half path was not engaged on a reciprocal model", spec.ID)
 		}
 		if len(full.Crossings) != len(half.Crossings) {
 			t.Fatalf("case %d: %d crossings on the full path vs %d on the half path\nfull: %v\nhalf: %v",
@@ -62,8 +94,9 @@ func TestHalfPathMatchesFullOnReciprocalCases(t *testing.T) {
 // TestBackendBitIdentityAcrossThreadsAndCache pins the determinism
 // contract of the sparse backend at the size where the dispatcher picks
 // it: a banded model at n ≥ 512 must auto-resolve to CSR, its crossings
-// must be bit-identical across worker counts {1, 2, 8} with the shift-
-// factorization cache off and on, and σ sampling must confirm them.
+// must be bit-identical across worker counts {1, 2, 8} with the default
+// per-solve shift cache and with a thrashing capacity-1 one, and σ
+// sampling must confirm them.
 func TestBackendBitIdentityAcrossThreadsAndCache(t *testing.T) {
 	m, err := statespace.Generate(53, statespace.GenOptions{
 		Ports: 8, Order: 512, TargetPeak: 1.05, GridPoints: 100,
@@ -74,10 +107,12 @@ func TestBackendBitIdentityAcrossThreadsAndCache(t *testing.T) {
 	}
 	var ref *Report
 	for _, threads := range []int{1, 2, 8} {
-		for _, cacheSize := range []int{-1, 0} { // off, default LRU
+		for _, cacheSize := range []int{0, 1} { // default, capacity-1 LRU
 			o := charOpts()
 			o.Core.Threads = threads
-			o.Core.ShiftCacheSize = cacheSize
+			if cacheSize > 0 {
+				o.Ops = hamiltonian.NewOpCache(cacheSize)
+			}
 			rep, err := Characterize(m, o)
 			if err != nil {
 				t.Fatalf("threads=%d cache=%d: %v", threads, cacheSize, err)

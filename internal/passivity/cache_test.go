@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arnoldi"
 	"repro/internal/core"
+	"repro/internal/hamiltonian"
 )
 
 // reportsBitIdentical fails the test unless the two reports agree bit for
@@ -36,20 +37,23 @@ func reportsBitIdentical(t *testing.T, label string, got, want *Report) {
 	}
 }
 
-// TestCharacterizeCacheInvariant is the ISSUE's headline acceptance test at
-// package scope: the shift-factorization cache (disabled / default / a
-// pathological capacity-1 LRU) and the worker count must have NO effect on
-// the report — the cache only skips redundant factorization work.
+// TestCharacterizeCacheInvariant: the shift-factorization cache (the
+// default per-solve one, or a pathological capacity-1 LRU shared through
+// Options.Ops) and the worker count must have NO effect on the report —
+// the cache only skips redundant factorization work.
 func TestCharacterizeCacheInvariant(t *testing.T) {
 	m := genModel(t, 42, 26, 1.06)
 	var want *Report
-	for _, cacheSize := range []int{-1, 0, 1} {
+	for _, cacheSize := range []int{0, 1} {
 		for _, threads := range []int{1, 2, 8} {
-			rep, err := Characterize(m, Options{Core: core.Options{
+			opts := Options{Core: core.Options{
 				Threads: threads, Seed: 11,
-				Arnoldi:        arnoldi.SingleShiftParams{NWanted: 4, MaxDim: 40},
-				ShiftCacheSize: cacheSize,
-			}})
+				Arnoldi: arnoldi.SingleShiftParams{NWanted: 4, MaxDim: 40},
+			}}
+			if cacheSize > 0 {
+				opts.Ops = hamiltonian.NewOpCache(cacheSize)
+			}
+			rep, err := Characterize(m, opts)
 			if err != nil {
 				t.Fatalf("cache=%d threads=%d: %v", cacheSize, threads, err)
 			}

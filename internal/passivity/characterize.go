@@ -81,13 +81,6 @@ type Options struct {
 	// engine wires its engine-wide cache here. Nil (the default) builds a
 	// private operator per characterization — the standalone semantics.
 	Ops *hamiltonian.OpCache
-	// Half selects the half-size reciprocal fast path: HalfAuto (default)
-	// engages it when the model is detected reciprocal, HalfOff disables
-	// it, HalfForce errors on non-reciprocal models.
-	Half hamiltonian.HalfMode
-	// HalfTol widens reciprocity detection under HalfAuto/HalfForce from
-	// bit-exact symmetry to a relative tolerance. Zero means exact.
-	HalfTol float64
 }
 
 func (o *Options) setDefaults() {
@@ -126,13 +119,12 @@ func CharacterizeContext(ctx context.Context, m *statespace.Model, opts Options)
 		return nil, err
 	}
 	opts.setDefaults()
-	hopts := hamiltonian.NewOptions{Half: opts.Half, HalfTol: opts.HalfTol}
 	var op *hamiltonian.Op
 	var err error
 	if opts.Ops != nil {
-		op, err = opts.Ops.GetWith(m, hamiltonian.Scattering, hopts)
+		op, err = opts.Ops.Get(m, hamiltonian.Scattering)
 	} else {
-		op, err = hamiltonian.NewWith(m, hamiltonian.Scattering, hopts)
+		op, err = hamiltonian.New(m, hamiltonian.Scattering)
 	}
 	if err != nil {
 		return nil, err

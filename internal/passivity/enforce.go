@@ -40,15 +40,14 @@ type EnforceOptions struct {
 	// bit-identically. Enforcement resume is iteration-granular: work
 	// inside an interrupted iteration is re-run.
 	Resume *EnforceCheckpoint
-	// ReestimateOmegaMax disables carrying the certified spectral-radius
-	// bound across iterations. By default (false, and with Char.Core.
-	// OmegaMax zero) every re-characterization reuses the previous
-	// iteration's certified ω_max inflated by the relative perturbation
-	// norm (see carryOmegaMax) instead of re-running the estimation
-	// Arnoldi — one fewer Arnoldi sweep per enforcement iteration; one
-	// confirming estimate still runs before passivity is certified on a
-	// carried bound (see EnforceContext).
-	ReestimateOmegaMax bool
+
+	// reestimateOmegaMax, set only by in-package tests, turns off the ω_max
+	// carry. Unless Char.Core.OmegaMax is set, every re-characterization
+	// reuses the previous iteration's certified ω_max inflated by the
+	// relative perturbation norm (see carryOmegaMax) instead of re-running
+	// the estimation Arnoldi; one confirming estimate still runs before
+	// passivity is certified on a carried bound (see EnforceContext).
+	reestimateOmegaMax bool
 }
 
 func (o *EnforceOptions) setDefaults() {
@@ -291,7 +290,7 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 			return nil, nil, err
 		}
 		cumulative += step
-		if opts.Char.Core.OmegaMax == 0 && !opts.ReestimateOmegaMax {
+		if opts.Char.Core.OmegaMax == 0 && !opts.reestimateOmegaMax {
 			// Carry the certified ω_max into the next iteration instead of
 			// re-running the estimation Arnoldi.
 			charOpts.Core.OmegaMax = carryOmegaMax(chr.OmegaMax, step, baseNorm)

@@ -117,7 +117,7 @@ func TestEnforceConstraintsRunAsPoolTasks(t *testing.T) {
 func TestEnforceOmegaMaxWarmStart(t *testing.T) {
 	mk := func(reestimate bool) (*EnforceReport, []float64) {
 		m := genModel(t, 146, 22, 1.06)
-		_, rep, err := Enforce(m, EnforceOptions{Char: charOpts(), ReestimateOmegaMax: reestimate})
+		_, rep, err := Enforce(m, EnforceOptions{Char: charOpts(), reestimateOmegaMax: reestimate})
 		if err != nil {
 			t.Fatal(err)
 		}

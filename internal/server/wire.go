@@ -112,13 +112,13 @@ type jobDoc struct {
 
 // statusDoc is the GET /status document.
 type statusDoc struct {
-	Draining   bool                 `json:"draining"`
-	Workers    int                  `json:"workers"`
-	QueueDepth int                  `json:"queue_depth"`
-	Admission  admissionDoc         `json:"admission"`
-	Phases     map[string]phaseDoc  `json:"phases"`
-	ShiftCache shiftCacheDoc        `json:"shift_cache"`
-	Jobs       []jobDoc             `json:"jobs"`
+	Draining   bool                `json:"draining"`
+	Workers    int                 `json:"workers"`
+	QueueDepth int                 `json:"queue_depth"`
+	Admission  admissionDoc        `json:"admission"`
+	Phases     map[string]phaseDoc `json:"phases"`
+	ShiftCache shiftCacheDoc       `json:"shift_cache"`
+	Jobs       []jobDoc            `json:"jobs"`
 	// StoreError surfaces a latched durable-store write failure: the
 	// daemon keeps serving, but checkpoints are no longer being committed.
 	StoreError string `json:"store_error,omitempty"`

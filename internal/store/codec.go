@@ -32,7 +32,7 @@ type enc struct {
 	buf []byte
 }
 
-func (e *enc) u8(v byte)     { e.buf = append(e.buf, v) }
+func (e *enc) u8(v byte) { e.buf = append(e.buf, v) }
 func (e *enc) uvarint(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
 }

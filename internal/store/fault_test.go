@@ -47,9 +47,9 @@ func (ff *faultFile) Sync() error {
 	return ff.f.Sync()
 }
 
-func (ff *faultFile) Truncate(size int64) error        { return ff.f.Truncate(size) }
+func (ff *faultFile) Truncate(size int64) error          { return ff.f.Truncate(size) }
 func (ff *faultFile) Seek(o int64, w int) (int64, error) { return ff.f.Seek(o, w) }
-func (ff *faultFile) Close() error                      { return ff.f.Close() }
+func (ff *faultFile) Close() error                       { return ff.f.Close() }
 
 // TestStoreFaultInjection drives the append path into a short write, a
 // torn write, and an fsync error at the 3rd record, and asserts the

@@ -42,14 +42,14 @@ func seedCorpus(f *testing.F) {
 		{"# MHz S DB R 75\n100 -3.0 10\n", 1},
 		{"#GHz S RI\n1 11 0 21 0 12 0 22 0\n", 2}, // 2-port column-major
 		{"! c\n# GHz S RI ! trailing\n1 0.5 0.1\n", 1},
-		{"# GHz S RI\n1 0.5\n", 1},            // truncated sample
-		{"# GHz S RI\n2 1 0\n1 1 0\n", 1},     // non-monotone
-		{"# GHz Y RI\n1 0.5 0.1\n", 1},        // rejected representation
-		{"# GHz S RI R\n1 0.5 0.1\n", 1},      // R without value
+		{"# GHz S RI\n1 0.5\n", 1},                                                 // truncated sample
+		{"# GHz S RI\n2 1 0\n1 1 0\n", 1},                                          // non-monotone
+		{"# GHz Y RI\n1 0.5 0.1\n", 1},                                             // rejected representation
+		{"# GHz S RI R\n1 0.5 0.1\n", 1},                                           // R without value
 		{"# GHz S RI\n# GHz S RI\n1 1 0\n", 1} /* double option */, {"1 1 0\n", 1}, // data first
 		{"# GHz S RI\n1 NaN 0\n", 1},
-		{"#DB\n0 7000 0", 1},             // finite token, 10^(a/20) overflows (found by fuzzing)
-		{"# GHz S RI\n1e308 1 0\n", 1},   // finite freq token overflows after unit scaling
+		{"#DB\n0 7000 0", 1},                     // finite token, 10^(a/20) overflows (found by fuzzing)
+		{"# GHz S RI\n1e308 1 0\n", 1},           // finite freq token overflows after unit scaling
 		{"# Hz S RI\n1e300 1 0\n2e300 1 0\n", 1}, // large but finite after scaling — accepted
 		{"", 3},
 	} {

@@ -145,30 +145,13 @@ func NewHamiltonian(m *Model, rep Representation) (*Hamiltonian, error) {
 	return hamiltonian.New(m, rep)
 }
 
-// HalfMode selects the half-size reciprocal fast path: when a model is
-// reciprocal (symmetric H, the common case for passive interconnect), the
-// 2n×2n Hamiltonian eigenproblem factors into an n×n squared problem with
-// the same crossing semantics at roughly half the Arnoldi cost. HalfAuto
-// (the zero value) engages it on detected reciprocity; HalfOff disables
-// it; HalfForce errors on non-reciprocal models. Set per characterization
-// via CharOptions.Half (+ CharOptions.HalfTol for tolerance-gated
-// detection); Report.HalfPath records whether it was available.
-type HalfMode = hamiltonian.HalfMode
-
-// HalfMode values.
-const (
-	HalfAuto  = hamiltonian.HalfAuto
-	HalfOff   = hamiltonian.HalfOff
-	HalfForce = hamiltonian.HalfForce
-)
-
 // ShiftCache is an LRU of factored shift-invert state shared across
 // ShiftInvert calls (and, via the fleet engine, across jobs on the same
 // model). Results are bit-identical with or without one — the cache only
-// skips redundant SMW factorization work. Most callers never touch it
-// directly: SolverOptions.ShiftCacheSize manages a solve's attachment, and
-// every fleet engine shares one cache (4 × DefaultShiftCacheSize entries)
-// across its jobs.
+// skips redundant SMW factorization work. Callers never need to touch it:
+// every solve attaches a DefaultShiftCacheSize-entry cache to an operator
+// that has none, and every fleet engine shares one cache
+// (4 × DefaultShiftCacheSize entries) across its jobs.
 type ShiftCache = hamiltonian.ShiftCache
 
 // CacheStats is a snapshot of shift-factorization cache traffic (see
@@ -192,8 +175,8 @@ type SolverResult = core.Result
 // ArnoldiParams are the single-shift iteration parameters (n_ϑ, d, tol).
 type ArnoldiParams = arnoldi.SingleShiftParams
 
-// DefaultShiftCacheSize is the per-solve shift-factorization cache
-// capacity used when SolverOptions.ShiftCacheSize is left zero.
+// DefaultShiftCacheSize is the capacity of the shift-factorization cache a
+// solve attaches to an operator that has none yet.
 const DefaultShiftCacheSize = core.DefaultShiftCacheSize
 
 // FindImagEigs runs the parallel multi-shift solver and returns all purely
