@@ -107,8 +107,6 @@ type caseRow struct {
 	Shifts         int     `json:"shifts"`
 	ShiftsSolo     int     `json:"shifts_solo"`
 	ShiftsPerSec   float64 `json:"shifts_per_sec"` // fleet-leg shifts per busy second
-	CacheHits      uint64  `json:"cache_hits"`     // this case's traffic on the engine-wide shift cache
-	CacheMisses    uint64  `json:"cache_misses"`
 	Passive        bool    `json:"passive"`
 	WorstSigma     float64 `json:"worst_sigma"`
 }
@@ -159,20 +157,18 @@ type resumeRow struct {
 }
 
 type benchOut struct {
-	Workers          int          `json:"workers"`
-	HostCores        int          `json:"host_cores"`
-	Cases            []caseRow    `json:"cases"`
-	SoloWallNS       int64        `json:"solo_wall_ns"`
-	FleetWallNS      int64        `json:"fleet_wall_ns"`
-	Speedup          float64      `json:"speedup"`
-	ThroughputJobsS  float64      `json:"fleet_throughput_jobs_per_s"`
-	AllBitIdentical  bool         `json:"all_crossings_bit_identical"`
-	FleetCacheHits   uint64       `json:"fleet_cache_hits"` // engine-wide shift-cache totals for the fleet run
-	FleetCacheMisses uint64       `json:"fleet_cache_misses"`
-	Phases           []phaseRow   `json:"fleet_phase_utilization"`
-	Priority         *priorityRow `json:"priority,omitempty"`
-	VectFit          *vfRow       `json:"vectfit,omitempty"`
-	Resume           []resumeRow  `json:"resume,omitempty"`
+	Workers         int          `json:"workers"`
+	HostCores       int          `json:"host_cores"`
+	Cases           []caseRow    `json:"cases"`
+	SoloWallNS      int64        `json:"solo_wall_ns"`
+	FleetWallNS     int64        `json:"fleet_wall_ns"`
+	Speedup         float64      `json:"speedup"`
+	ThroughputJobsS float64      `json:"fleet_throughput_jobs_per_s"`
+	AllBitIdentical bool         `json:"all_crossings_bit_identical"`
+	Phases          []phaseRow   `json:"fleet_phase_utilization"`
+	Priority        *priorityRow `json:"priority,omitempty"`
+	VectFit         *vfRow       `json:"vectfit,omitempty"`
+	Resume          []resumeRow  `json:"resume,omitempty"`
 }
 
 func main() {
@@ -261,14 +257,6 @@ func main() {
 		fleetLatencyNS[i] = j.WallTime().Nanoseconds()
 	}
 	out.FleetWallNS = time.Since(fleetStart).Nanoseconds()
-	// Per-case traffic on the engine-wide shift-factorization cache, plus
-	// the cache-wide totals (read before Close while the ops are alive).
-	caseCache := make([]repro.CacheStats, len(specs))
-	for i := range specs {
-		caseCache[i] = engine.ModelCacheStats(models[i])
-	}
-	fleetCache := engine.ShiftCacheStats()
-	out.FleetCacheHits, out.FleetCacheMisses = fleetCache.Hits, fleetCache.Misses
 	// Per-phase worker utilization of the fleet run: which fraction of the
 	// pool's capacity each compute phase kept busy.
 	stats := engine.PhaseStats()
@@ -291,8 +279,8 @@ func main() {
 	}
 	engine.Close()
 
-	fmt.Printf("%-7s %5s %4s %8s %4s %6s %8s %5s %5s | %9s %9s %9s | %4s\n",
-		"Case", "n", "p", "Nλ(pap)", "Nλ", "shifts", "sh/s", "hits", "miss", "solo[s]", "busy[s]", "lat[s]", "bit=")
+	fmt.Printf("%-7s %5s %4s %8s %4s %6s %8s | %9s %9s %9s | %4s\n",
+		"Case", "n", "p", "Nλ(pap)", "Nλ", "shifts", "sh/s", "solo[s]", "busy[s]", "lat[s]", "bit=")
 	for i, spec := range specs {
 		solo, fl := soloReps[i], fleetReps[i]
 		bit := len(solo.Crossings) == len(fl.Crossings)
@@ -313,16 +301,15 @@ func main() {
 			PaperNlambda: spec.PaperNlambda, BitIdentical: bit,
 			SoloNS: soloNS[i], FleetBusyNS: fleetBusyNS[i], FleetLatencyNS: fleetLatencyNS[i],
 			Shifts: fl.Solver.ShiftsProcessed, ShiftsSolo: solo.Solver.ShiftsProcessed,
-			CacheHits: caseCache[i].Hits, CacheMisses: caseCache[i].Misses,
 			Passive: fl.Passive, WorstSigma: fl.WorstViolation(),
 		}
 		if fleetBusyNS[i] > 0 {
 			row.ShiftsPerSec = float64(row.Shifts) / (float64(fleetBusyNS[i]) / 1e9)
 		}
 		out.Cases = append(out.Cases, row)
-		fmt.Printf("Case %-2d %5d %4d %8d %4d %6d %8.1f %5d %5d | %9.3f %9.3f %9.3f | %v\n",
+		fmt.Printf("Case %-2d %5d %4d %8d %4d %6d %8.1f | %9.3f %9.3f %9.3f | %v\n",
 			spec.ID, spec.N, spec.P, spec.PaperNlambda, row.Nlambda, row.Shifts,
-			row.ShiftsPerSec, row.CacheHits, row.CacheMisses,
+			row.ShiftsPerSec,
 			float64(row.SoloNS)/1e9, float64(row.FleetBusyNS)/1e9, float64(row.FleetLatencyNS)/1e9, bit)
 	}
 	out.Speedup = float64(out.SoloWallNS) / float64(out.FleetWallNS)

@@ -189,13 +189,19 @@ func (c *child) getJob(id string) (*harnessJobDoc, error) {
 }
 
 // runCrashCase drives one job on one store through up to maxKills SIGKILLs
-// to completion, returning the terminal report and how many kills landed.
-// Every kill fires only while the job is not yet terminal (the poll loop
-// checks state right up to the kill instant), so each one interrupts live
-// solver work — a checkpoint-boundary resume, not a terminal replay.
-func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *rand.Rand, maxKills int) (*server.ReportDoc, int) {
+// to completion, returning the terminal report, how many kills landed and
+// the solve time when the first generation ran uninterrupted (zero when
+// it was killed). Each kill is armed at a random 5–50% of solve, the
+// uninterrupted solve time, so it lands inside live Arnoldi sweeps however
+// fast the host solves. Every kill fires only while the job is not yet
+// terminal (the poll loop checks state right up to the kill instant), so
+// each one interrupts live solver work — a checkpoint-boundary resume, not
+// a terminal replay.
+func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *rand.Rand, maxKills int, solve time.Duration) (*server.ReportDoc, int, time.Duration) {
 	t.Helper()
 	kills := 0
+	var submitted time.Time
+	var firstRun time.Duration
 	const maxCycles = 12
 	for cycle := 0; cycle < maxCycles; cycle++ {
 		c := spawnChild(t, lg, storePath)
@@ -209,6 +215,7 @@ func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *ran
 				c.kill()
 				t.Fatalf("submit: %v", err)
 			}
+			submitted = time.Now()
 			lg.printf("cycle 0: submitted %s", id)
 		} else if c.recovered != 1 {
 			c.kill()
@@ -216,7 +223,7 @@ func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *ran
 		}
 		var killAt time.Time
 		if kills < maxKills {
-			delay := time.Duration(20+rng.Intn(130)) * time.Millisecond
+			delay := time.Duration(float64(solve) * (0.05 + 0.45*rng.Float64()))
 			killAt = time.Now().Add(delay)
 			lg.printf("cycle %d: arming SIGKILL in %v", cycle, delay)
 		}
@@ -232,10 +239,13 @@ func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *ran
 			if err == nil {
 				switch doc.State {
 				case "done":
+					if cycle == 0 {
+						firstRun = time.Since(submitted)
+					}
 					lg.printf("cycle %d: job done (%d solver shifts this generation, %d crossings)",
 						cycle, doc.Report.Solver.ShiftsProcessed, len(doc.Report.Crossings))
 					c.kill()
-					return doc.Report, kills
+					return doc.Report, kills, firstRun
 				case "failed", "canceled":
 					c.kill()
 					t.Fatalf("cycle %d: job reached %q: %s", cycle, doc.State, doc.Error)
@@ -249,7 +259,7 @@ func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *ran
 		}
 	}
 	t.Fatalf("job did not finish within %d crash cycles", maxCycles)
-	return nil, 0
+	return nil, 0, 0
 }
 
 // gobSansSolver serializes a report with its schedule-dependent solver
@@ -268,9 +278,10 @@ func gobSansSolver(t *testing.T, doc *server.ReportDoc) []byte {
 // TestCrashResumeEquivalence is the headline durability guarantee on three
 // shrunk Table-I cases: a daemon SIGKILLed at randomized points mid-solve
 // and restarted on the same store must converge to a report gob-identical
-// to an uninterrupted run's. Order 125 puts a solve at roughly 150–300ms
-// on two workers — wide enough for 20–150ms kill delays to land inside
-// live Arnoldi sweeps rather than before or after them.
+// to an uninterrupted run's. Kill delays are drawn from the uninterrupted
+// reference run's solve time (order 125: tens to hundreds of ms on two
+// workers), so they land inside live Arnoldi sweeps rather than before or
+// after them.
 func TestCrashResumeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child daemons")
@@ -283,8 +294,8 @@ func TestCrashResumeEquivalence(t *testing.T) {
 			lg.printf("=== case %d (order %d) ===", id, order)
 
 			lg.printf("case %d: uninterrupted reference run", id)
-			ref, refKills := runCrashCase(t, lg, filepath.Join(t.TempDir(), "ref.jlog"), spec,
-				rand.New(rand.NewSource(int64(100+id))), 0)
+			ref, refKills, solve := runCrashCase(t, lg, filepath.Join(t.TempDir(), "ref.jlog"), spec,
+				rand.New(rand.NewSource(int64(100+id))), 0, 0)
 			if refKills != 0 {
 				t.Fatalf("reference run recorded %d kills", refKills)
 			}
@@ -294,10 +305,10 @@ func TestCrashResumeEquivalence(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(int64(id)))
 			maxKills := 2 + rng.Intn(3)
-			lg.printf("case %d: crash run, up to %d kills", id, maxKills)
-			got, kills := runCrashCase(t, lg, filepath.Join(t.TempDir(), "crash.jlog"), spec, rng, maxKills)
+			lg.printf("case %d: crash run, up to %d kills, reference solve %v", id, maxKills, solve)
+			got, kills, _ := runCrashCase(t, lg, filepath.Join(t.TempDir(), "crash.jlog"), spec, rng, maxKills, solve)
 			if kills < 1 {
-				t.Fatalf("no kill landed mid-run: solve finished before the first %v-range delay", 150*time.Millisecond)
+				t.Fatalf("no kill landed mid-run: solve finished before the first delay (reference solve %v)", solve)
 			}
 			if !bytes.Equal(gobSansSolver(t, ref), gobSansSolver(t, got)) {
 				t.Fatalf("resumed report diverges from uninterrupted run after %d kill(s):\nref: %+v\ngot: %+v",

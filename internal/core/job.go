@@ -45,11 +45,6 @@ func (p *Pool) Submit(ctx context.Context, op *hamiltonian.Op, opts Options) (*J
 		opts.Threads = p.workers
 	}
 	opts.setDefaults()
-	// Attach the operator's shift cache before any shift work runs.
-	// EnsureShiftCache keeps an already-attached cache — the fleet engine
-	// attaches one shared cache across jobs, and a per-solve default must
-	// not displace it.
-	op.EnsureShiftCache(DefaultShiftCacheSize)
 	//lint:ignore detfloat elapsed-time telemetry only; it never feeds numeric state
 	start := time.Now()
 

@@ -189,13 +189,6 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// DefaultShiftCacheSize is the capacity of the factorization cache a solve
-// attaches to an operator that has none yet: comfortably above the
-// startup shift count κT plus the refinement tail of a typical Table-I
-// solve, and one 2p×2p complex LU per entry keeps even a 64-entry cache in
-// the tens of kilobytes for realistic port counts.
-const DefaultShiftCacheSize = 64
-
 // ShiftRecord documents one completed single-shift iteration.
 type ShiftRecord struct {
 	Omega  float64 // shift location on the imaginary axis

@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hamiltonian"
 	"repro/internal/passivity"
 	"repro/internal/statespace"
 )
@@ -80,21 +79,10 @@ type EngineOptions struct {
 	FailFast bool
 }
 
-// DefaultShiftCacheSize is the capacity of the engine-wide
-// shift-factorization cache shared by every job (hamiltonian.OpCache):
-// jobs characterizing the same model share one balanced operator, one
-// packed-kernel epoch, and one LRU of factored SMW shifts. Four per-solve
-// defaults, so a handful of concurrent jobs can keep their shifts
-// resident at once. Results are bit-identical with or without sharing —
-// the cache only skips redundant factorization work. Exported because
-// perfbench compiles against it.
-const DefaultShiftCacheSize = 4 * core.DefaultShiftCacheSize
-
 // Engine owns the shared worker pool and tracks in-flight jobs.
 type Engine struct {
 	pool     *core.Pool
-	ops      *hamiltonian.OpCache // engine-wide operator + shift-factor cache
-	sem      chan struct{}        // admission slots, nil when unbounded
+	sem      chan struct{} // admission slots, nil when unbounded
 	failFast bool
 
 	mu       sync.Mutex
@@ -118,7 +106,6 @@ func NewEngine(o EngineOptions) *Engine {
 	}
 	e := &Engine{
 		pool:     core.NewPool(w),
-		ops:      hamiltonian.NewOpCache(DefaultShiftCacheSize),
 		failFast: o.FailFast,
 		closedCh: make(chan struct{}),
 	}
@@ -126,21 +113,6 @@ func NewEngine(o EngineOptions) *Engine {
 		e.sem = make(chan struct{}, o.MaxQueued)
 	}
 	return e
-}
-
-// ShiftCacheStats snapshots the engine-wide factorization cache's
-// counters. Kept because perfbench reads it.
-func (e *Engine) ShiftCacheStats() hamiltonian.CacheStats {
-	return e.ops.ShiftCache().Stats()
-}
-
-// ModelCacheStats attributes the engine-wide cache's traffic to one
-// model's shared scattering operator — the hits and misses that model's
-// jobs generated, regardless of what the rest of the fleet did. Zero when
-// the model never ran through this engine. cmd/fleetbench uses it for
-// per-case cache columns.
-func (e *Engine) ModelCacheStats(m *statespace.Model) hamiltonian.CacheStats {
-	return e.ops.StatsFor(m, hamiltonian.Scattering)
 }
 
 // Workers returns the shared pool's worker count.
@@ -344,9 +316,6 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 			opts := *req.Enforce
 			opts.Char.Core.Pool = e.pool
 			opts.Char.Core.Client = client
-			if opts.Char.Ops == nil {
-				opts.Char.Ops = e.ops
-			}
 			if req.Progress != nil {
 				opts.Char.Core.Progress = req.Progress
 			}
@@ -373,9 +342,6 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 		opts := req.Char
 		opts.Core.Pool = e.pool
 		opts.Core.Client = client
-		if opts.Ops == nil {
-			opts.Ops = e.ops
-		}
 		if req.Progress != nil {
 			opts.Core.Progress = req.Progress
 		}

@@ -2,7 +2,6 @@ package hamiltonian
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/mat"
@@ -46,23 +45,13 @@ import (
 // arbitration and ω_max estimation stay on the full-size operator — the
 // half path accelerates only the sweep.
 
-// NewOptions is the option set of NewWith. It has no fields: the half
-// path is chosen by the code (see New), not by the caller. The type
-// and NewWith are kept because the benchmark module (perfbench) compiles
-// against them.
-type NewOptions struct{}
-
 // HalfOp is the half-size operator N = A² + U·V of a reciprocal model's
-// Hamiltonian, sharing its parent Op's model, shift cache and stats. It is
-// read-only after construction and safe for concurrent use; per-shift
-// state lives in HalfShiftOp.
+// Hamiltonian, sharing its parent Op's model. It is read-only after
+// construction and safe for concurrent use; per-shift state lives in
+// HalfShiftOp.
 type HalfOp struct {
 	op   *Op
 	n, p int
-	// id is this operator's own cache identity: half-path factors and
-	// full-path factors of the same Op must never collide in a shared
-	// ShiftCache.
-	id uint64
 	// vt is the coupling V stored transposed (n×2p row-major) so the
 	// block-local panel kernels and the V apply stream one contiguous
 	// 2p-row per state.
@@ -133,7 +122,7 @@ func newHalfOp(op *Op) (*HalfOp, error) {
 			vt[j*q+p+i] = row2.At(i, j)
 		}
 	}
-	return &HalfOp{op: op, n: n, p: p, id: opIDs.Add(1), vt: vt}, nil
+	return &HalfOp{op: op, n: n, p: p, vt: vt}, nil
 }
 
 // Dim returns the half-size dimension n.
@@ -156,43 +145,27 @@ func (h *HalfOp) getHalfPanel() []float64 {
 	return make([]float64, 4*h.p*h.p)
 }
 
-// shiftKeyFor keys a half-path factorization: the HalfOp's own identity
-// plus the model's kernel epoch and exact shift bits.
-func (h *HalfOp) shiftKeyFor(tau complex128) shiftKey {
-	return shiftKey{
-		opID:  h.id,
-		epoch: h.op.Model.KernelEpoch(),
-		re:    math.Float64bits(real(tau)),
-		im:    math.Float64bits(imag(tau)),
-	}
-}
-
 // ShiftInvert factors (N − τI)⁻¹ via the same SMW identity as the full
 // path: Gτ − Gτ·U·(I + V·Gτ·U)⁻¹·V·Gτ with Gτ = (A² − τI)⁻¹ block
 // diagonal. The shift τ must be real (the sweep's τ = −ω² always is);
-// factorization and applies then run entirely in real arithmetic. The
-// attached ShiftCache (the parent Op's) is consulted first; half-path
-// entries carry their own operator identity so they never mix with
-// full-path factors. Release the returned operator when done to recycle
-// its scratch.
+// factorization and applies then run entirely in real arithmetic. Every
+// call factors its shift afresh and the returned operator owns the factor;
+// Release it when done to drop the factor and recycle its scratch.
 func (h *HalfOp) ShiftInvert(tau complex128) (*HalfShiftOp, error) {
 	if imag(tau) != 0 {
 		return nil, fmt.Errorf("hamiltonian: half shift %v must be real", tau)
 	}
-	if c := h.op.cache.Load(); c != nil {
-		return c.shiftInvertHalf(h, tau)
-	}
-	fac, err := h.factorShift(tau)
+	lu, err := h.factorShift(tau)
 	if err != nil {
 		return nil, err
 	}
-	return h.newShiftOp(fac), nil
+	return h.newShiftOp(tau, lu), nil
 }
 
 // factorShift runs the half-size SMW setup for one shift: the real 2p×2p
 // panel V·Gτ·U in one pass over the packed kernels, then capacitance
 // assembly and factorization.
-func (h *HalfOp) factorShift(tau complex128) (*shiftFactor, error) {
+func (h *HalfOp) factorShift(tau complex128) (*mat.LU, error) {
 	panel := h.getHalfPanel()
 	defer h.panelPool.Put(panel)
 	if err := h.op.Model.RResolventA2BPair(panel, h.vt, 2*h.p, real(tau)); err != nil {
@@ -208,16 +181,17 @@ func (h *HalfOp) factorShift(tau complex128) (*shiftFactor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hamiltonian: half shift %v is (numerically) an eigenvalue: %w", tau, err)
 	}
-	return &shiftFactor{theta: tau, rcap: f}, nil
+	return f, nil
 }
 
 // HalfShiftOp is the half-size shift-invert operator (N − τI)⁻¹ for one
-// real shift τ: a shared immutable factor plus private apply scratch. All
-// vectors are real. Like ShiftOp it is single-goroutine; concurrent
-// HalfShiftOps may share the factorization. Call Release when done.
+// real shift τ: the shift, its real LU-factored 2p×2p SMW capacitance
+// I + V·Gτ·U and private apply scratch. All vectors are real. Like ShiftOp
+// it is single-goroutine. Call Release when done.
 type HalfShiftOp struct {
 	h   *HalfOp
-	fac *shiftFactor
+	tau complex128
+	lu  *mat.LU
 	// scratch
 	g, gu   []float64 // n
 	s, t    []float64 // 2p
@@ -225,16 +199,17 @@ type HalfShiftOp struct {
 }
 
 // newShiftOp wraps a factor in a (pooled) HalfShiftOp shell.
-func (h *HalfOp) newShiftOp(fac *shiftFactor) *HalfShiftOp {
+func (h *HalfOp) newShiftOp(tau complex128, lu *mat.LU) *HalfShiftOp {
 	if so, ok := h.shiftPool.Get().(*HalfShiftOp); ok {
-		so.fac = fac
+		so.tau, so.lu = tau, lu
 		return so
 	}
 	n, q := h.n, 2*h.p
 	buf := make([]float64, 2*n+3*q)
 	return &HalfShiftOp{
 		h:       h,
-		fac:     fac,
+		tau:     tau,
+		lu:      lu,
 		g:       buf[:n],
 		gu:      buf[n : 2*n],
 		s:       buf[2*n : 2*n+q],
@@ -243,18 +218,18 @@ func (h *HalfOp) newShiftOp(fac *shiftFactor) *HalfShiftOp {
 	}
 }
 
-// Release returns the operator's scratch to the pool, mirroring
-// ShiftOp.Release.
+// Release drops the factor and returns the operator's scratch to the
+// pool, mirroring ShiftOp.Release.
 func (so *HalfShiftOp) Release() {
 	if so == nil {
 		return
 	}
-	so.fac = nil
+	so.lu = nil
 	so.h.shiftPool.Put(so)
 }
 
 // Theta returns the shift τ (in μ = λ² space).
-func (so *HalfShiftOp) Theta() complex128 { return so.fac.theta }
+func (so *HalfShiftOp) Theta() complex128 { return so.tau }
 
 // Dim returns the half-size dimension n.
 func (so *HalfShiftOp) Dim() int { return so.h.n }
@@ -267,13 +242,13 @@ func (so *HalfShiftOp) Apply(y, x []float64) error {
 	if len(x) != n || len(y) != n {
 		panic(fmt.Sprintf("hamiltonian: HalfShiftOp.Apply expects vectors of length %d", n))
 	}
-	tau := real(so.fac.theta)
+	tau := real(so.tau)
 	m := h.op.Model
 	if err := m.RSolveShiftedA2(so.g, x, tau); err != nil {
 		return err
 	}
 	h.applyV(so.s, so.g)
-	so.fac.rcap.SolveIntoScratch(so.s, so.s, so.permBuf)
+	so.lu.SolveIntoScratch(so.s, so.s, so.permBuf)
 	m.RApplyABPair(so.gu, so.s[:h.p], so.s[h.p:])
 	if err := m.RSolveShiftedA2(so.gu, so.gu, tau); err != nil {
 		return err

@@ -224,66 +224,6 @@ func TestHalfShiftInvertMatchesDense(t *testing.T) {
 	}
 }
 
-// TestHalfCacheHitBitIdentity checks the cached half path: a repeated
-// ShiftInvert(τ) on an operator with a shift cache is served from the
-// cache (shiftInvertHalf's hit branch), and both the factoring miss and
-// the hit apply bit-identically to the cacheless path.
-func TestHalfCacheHitBitIdentity(t *testing.T) {
-	m := reciprocalModel(t, 34, 2, 14, 1.05)
-	taus := []complex128{complex(-9e18, 0), complex(-4e19, 0), complex(-1e17, 0)}
-
-	// repeats is how many times each τ is factored-or-fetched on op.
-	build := func(op *Op, repeats int) [][]float64 {
-		h := op.Half()
-		if h == nil {
-			t.Fatal("half path not engaged")
-		}
-		rng := rand.New(rand.NewSource(21))
-		var outs [][]float64
-		for _, tau := range taus {
-			x := randRVec(rng, h.Dim())
-			for r := 0; r < repeats; r++ {
-				so, err := h.ShiftInvert(tau)
-				if err != nil {
-					t.Fatal(err)
-				}
-				y := make([]float64, h.Dim())
-				if err := so.Apply(y, x); err != nil {
-					t.Fatal(err)
-				}
-				so.Release()
-				outs = append(outs, y)
-			}
-		}
-		return outs
-	}
-
-	plainOp, err := New(m, Scattering)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedOp, err := New(m, Scattering)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedOp.EnsureShiftCache(8)
-	plain := build(plainOp, 1)
-	cached := build(cachedOp, 2)
-	if stats := cachedOp.OpCacheStats(); stats.Hits != uint64(len(taus)) || stats.Misses != uint64(len(taus)) {
-		t.Fatalf("cached run: want %d hits / %d misses, got %+v", len(taus), len(taus), stats)
-	}
-	for i := range plain {
-		for r := 0; r < 2; r++ {
-			got := cached[2*i+r]
-			for j := range plain[i] {
-				if plain[i][j] != got[j] {
-					t.Fatalf("shift %d, call %d: cached apply differs at %d: %v vs %v", i, r, j, got[j], plain[i][j])
-				}
-			}
-		}
-	}
-}
-
 // TestHalfPathGating covers the dispatch matrix: non-reciprocal models
 // (including a bit-perturbed reciprocal one) stay on the full path, a
 // reciprocal model takes the half path, and the in-package newOp hook

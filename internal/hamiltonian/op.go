@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mat"
 	"repro/internal/statespace"
@@ -71,25 +70,10 @@ type Op struct {
 	P     int        // ports
 	w     *mat.Dense // 2p×2p coupling
 
-	// id is a process-unique operator identity. A ShiftCache may serve many
-	// Ops (the fleet engine shares one cache across jobs), so cache keys
-	// combine id with the model's kernel epoch and the exact shift bits —
-	// epoch alone cannot distinguish two different models.
-	id uint64
-
 	// half, when non-nil, is the half-size reciprocal sweep operator
 	// (spec(M)² on n states instead of spec(M) on 2n). Built by New when
-	// the model is reciprocal; shares this Op's model, cache and traffic
-	// counters.
+	// the model is reciprocal; shares this Op's model.
 	half *HalfOp
-
-	// cache, when set, memoizes factored shift state across ShiftInvert
-	// calls (see ShiftCache). Atomic so fleet wiring and in-flight solves
-	// never race; nil means every ShiftInvert factors from scratch.
-	cache atomic.Pointer[ShiftCache]
-	// cacheHits/cacheMisses attribute cache traffic to this operator —
-	// an engine-wide cache's global counters can't break down per case.
-	cacheHits, cacheMisses atomic.Uint64
 
 	// applyPool recycles Apply workspaces (t, wt ∈ C^{2p}, u ∈ C^{2n}) so
 	// steady-state Apply calls are allocation-free; ω_max estimation and
@@ -97,14 +81,10 @@ type Op struct {
 	applyPool sync.Pool
 	// panelPool recycles the p×p SMW setup panels of ShiftInvert.
 	panelPool sync.Pool
-	// shiftPool recycles ShiftOp shells (apply scratch only — the factored
-	// state lives in shiftFactor), so a cache hit builds its operator with
-	// zero allocations.
+	// shiftPool recycles ShiftOp shells (apply scratch only; Release
+	// drops the factor before the shell goes back).
 	shiftPool sync.Pool
 }
-
-// opIDs hands out process-unique Op identities for cache keying.
-var opIDs atomic.Uint64
 
 type applyScratch struct{ t, wt, u []complex128 }
 
@@ -143,12 +123,6 @@ func (op *Op) getPanels() *smwPanels {
 // construction failure (e.g. a singular coupling) falls back to the full
 // path.
 func New(m *statespace.Model, rep Representation) (*Op, error) {
-	return newOp(m, rep, true)
-}
-
-// NewWith is New. It is kept, with its empty NewOptions, because the
-// benchmark module (perfbench) compiles against it.
-func NewWith(m *statespace.Model, rep Representation, _ NewOptions) (*Op, error) {
 	return newOp(m, rep, true)
 }
 
@@ -207,7 +181,7 @@ func newOp(m *statespace.Model, rep Representation, allowHalf bool) (*Op, error)
 	default:
 		return nil, fmt.Errorf("hamiltonian: unknown representation %v", rep)
 	}
-	op := &Op{Model: m, Rep: rep, N: m.Order(), P: p, w: w, id: opIDs.Add(1)}
+	op := &Op{Model: m, Rep: rep, N: m.Order(), P: p, w: w}
 	if useHalf {
 		if h, err := newHalfOp(op); err == nil {
 			op.half = h
@@ -243,8 +217,7 @@ func (op *Op) HalfRouted(omega, rho0 float64) bool {
 // SweepTheta maps a sweep shift (ω, ρ₀) to the shift the routed path
 // factors at: jω on the full path, τ = −ω² (the squared eigenvalue) on
 // the half path. Callers that replay core's sweep shifts obtain them
-// through this method, so they factor (and key the shift cache on) the
-// same bits the solve does.
+// through this method, so they factor the same bits the solve does.
 func (op *Op) SweepTheta(omega, rho0 float64) complex128 {
 	if op.HalfRouted(omega, rho0) {
 		return complex(-(omega * omega), 0)
@@ -317,30 +290,15 @@ func (op *Op) Apply(y, x []complex128) {
 	op.applyPool.Put(ws)
 }
 
-// shiftFactor is the immutable factored state of one shift-invert setup:
-// the shift and the LU-factored 2p×2p SMW capacitance. It is read-only
-// after construction, so any number of ShiftOps — across goroutines — may
-// apply against the same shiftFactor concurrently (the CLU solve takes
-// caller scratch). This is the unit the ShiftCache stores.
-type shiftFactor struct {
-	theta complex128
-	cap   *mat.CLU // factored (I + W·V·G·U), 2p×2p (full path)
-	// rcap is the half path's capacitance: for the real shift τ = −ω² the
-	// squared operator's SMW capacitance I + V·Gτ·U is real, so half-path
-	// factors carry a real LU (cap stays nil) and applies run entirely in
-	// real arithmetic.
-	rcap *mat.LU
-}
-
-// ShiftOp is a shift-invert operator (M − ϑI)⁻¹ for one shift ϑ: a shared
-// immutable shiftFactor plus private apply scratch. Each apply costs
-// O(n·p). Not safe for concurrent use (scratch buffers); create one per
-// goroutine — concurrent ShiftOps may share the underlying factorization.
-// Call Release when done: it recycles the scratch. Using a ShiftOp after
-// Release is a bug.
+// ShiftOp is a shift-invert operator (M − ϑI)⁻¹ for one shift ϑ: the
+// shift, its LU-factored 2p×2p SMW capacitance and private apply scratch.
+// Each apply costs O(n·p). Not safe for concurrent use (scratch buffers);
+// create one per goroutine. Call Release when done: it drops the factor
+// and recycles the scratch. Using a ShiftOp after Release is a bug.
 type ShiftOp struct {
-	op  *Op
-	fac *shiftFactor
+	op    *Op
+	theta complex128
+	lu    *mat.CLU // factored (I + W·V·G·U), 2p×2p
 	// scratch
 	g, gu   []complex128 // 2n
 	t, s    []complex128 // 2p
@@ -348,9 +306,9 @@ type ShiftOp struct {
 }
 
 // newShiftOp wraps a factor in a (pooled) ShiftOp shell.
-func (op *Op) newShiftOp(fac *shiftFactor) *ShiftOp {
+func (op *Op) newShiftOp(theta complex128, lu *mat.CLU) *ShiftOp {
 	if so, ok := op.shiftPool.Get().(*ShiftOp); ok {
-		so.fac = fac
+		so.theta, so.lu = theta, lu
 		return so
 	}
 	n, p2 := op.N, 2*op.P
@@ -358,7 +316,8 @@ func (op *Op) newShiftOp(fac *shiftFactor) *ShiftOp {
 	buf := make([]complex128, 4*n+3*p2)
 	return &ShiftOp{
 		op:      op,
-		fac:     fac,
+		theta:   theta,
+		lu:      lu,
 		g:       buf[:2*n],
 		gu:      buf[2*n : 4*n],
 		t:       buf[4*n : 4*n+p2],
@@ -367,16 +326,15 @@ func (op *Op) newShiftOp(fac *shiftFactor) *ShiftOp {
 	}
 }
 
-// Release returns the operator's scratch to the pool. Safe on nil.
+// Release drops the factor and returns the operator's scratch to the
+// pool, so a pooled shell never keeps its last factor alive. Safe on nil.
 // Idempotent within one ownership cycle only — after Release the ShiftOp
-// may be handed to another goroutine by the pool. Kept as a method (rather
-// than folded into garbage collection) because the scratch pool keeps
-// solves allocation-free and perfbench compiles against it.
+// may be handed to another goroutine by the pool.
 func (so *ShiftOp) Release() {
 	if so == nil {
 		return
 	}
-	so.fac = nil
+	so.lu = nil
 	so.op.shiftPool.Put(so)
 }
 
@@ -396,26 +354,19 @@ func (so *ShiftOp) Release() {
 // independent O(n·p) column passes of the naive route. Fails with
 // ErrSingular when ϑ coincides with an eigenvalue of A/−Aᵀ or of M itself.
 //
-// When a ShiftCache is attached (EnsureShiftCache / fleet wiring), the
-// factored state is looked up by (op, kernel epoch, exact ϑ bits) first and
-// only factored on a miss; either way the returned operator is bit-for-bit
-// the operator the uncached path would build, so solves are unaffected by
-// cache state. Release the returned ShiftOp when done to recycle its
-// scratch.
+// Every call factors its shift afresh; the returned operator owns the
+// factor. Release it when done to drop the factor and recycle its scratch.
 func (op *Op) ShiftInvert(theta complex128) (*ShiftOp, error) {
-	if c := op.cache.Load(); c != nil {
-		return c.shiftInvert(op, theta)
-	}
-	fac, err := op.factorShift(theta)
+	lu, err := op.factorShift(theta)
 	if err != nil {
 		return nil, err
 	}
-	return op.newShiftOp(fac), nil
+	return op.newShiftOp(theta, lu), nil
 }
 
 // factorShift runs the full SMW setup for one shift: both resolvent panels
 // plus capacitance assembly and factorization.
-func (op *Op) factorShift(theta complex128) (*shiftFactor, error) {
+func (op *Op) factorShift(theta complex128) (*mat.CLU, error) {
 	// Panels: x1 = C·(A−ϑI)⁻¹·B, x2 = Bᵀ·(Aᵀ−(−ϑ)I)⁻¹·Cᵀ (negated during
 	// assembly).
 	ps := op.getPanels()
@@ -460,13 +411,13 @@ func (op *Op) factorShift(theta complex128) (*shiftFactor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hamiltonian: shift %v is (numerically) an eigenvalue: %w", theta, err)
 	}
-	return &shiftFactor{theta: theta, cap: f}, nil
+	return f, nil
 }
 
 // applyG computes y = G·x = [(A−ϑI)⁻¹x₁; (−Aᵀ−ϑI)⁻¹x₂] in O(n).
 func (so *ShiftOp) applyG(y, x []complex128) error {
 	n := so.op.N
-	theta := so.fac.theta
+	theta := so.theta
 	if err := so.op.Model.CSolveShiftedA(y[:n], x[:n], theta); err != nil {
 		return err
 	}
@@ -481,7 +432,7 @@ func (so *ShiftOp) applyG(y, x []complex128) error {
 }
 
 // Theta returns the shift.
-func (so *ShiftOp) Theta() complex128 { return so.fac.theta }
+func (so *ShiftOp) Theta() complex128 { return so.theta }
 
 // Dim returns the dimension 2n of the underlying Hamiltonian.
 func (so *ShiftOp) Dim() int { return 2 * so.op.N }
@@ -506,9 +457,7 @@ func (so *ShiftOp) Apply(y, x []complex128) error {
 	}
 	op.applyV(so.t, so.g)
 	op.applyW(so.s, so.t)
-	// Caller-scratch solve: the factorization may be shared with other
-	// in-flight ShiftOps via the cache, so it must stay read-only here.
-	so.fac.cap.SolveIntoScratch(so.s, so.s, so.permBuf)
+	so.lu.SolveIntoScratch(so.s, so.s, so.permBuf)
 	op.applyU(so.gu, so.s)
 	if err := so.applyG(so.gu, so.gu); err != nil {
 		return err

@@ -118,9 +118,8 @@ func (f *CLU) SolveInto(dst, b []complex128) {
 // SolveIntoScratch is SolveInto with a caller-provided permutation gather
 // buffer (len n). It only reads the factorization, so any number of
 // goroutines may solve against the same CLU concurrently as long as each
-// brings its own scratch — the property the shift-factorization cache
-// relies on to share one factored SMW capacitance across in-flight Arnoldi
-// runs.
+// brings its own scratch; a shift-invert operator passes its pooled apply
+// scratch, so its solves never allocate.
 func (f *CLU) SolveIntoScratch(dst, b, scratch []complex128) {
 	n := f.lu.Rows
 	if len(b) != n || len(dst) != n || len(scratch) < n {

@@ -116,8 +116,8 @@ func (f *LU) Solve(b []float64) []float64 {
 // with a caller-provided permutation gather buffer (len ≥ n). dst and b may
 // alias. It only reads the factorization, so any number of goroutines may
 // solve against the same LU concurrently as long as each brings its own
-// scratch — the property the half path's shift-factorization cache relies
-// on to share one factored real SMW capacitance across in-flight runs.
+// scratch; the half path's shift-invert operator passes its pooled apply
+// scratch, so its solves never allocate.
 func (f *LU) SolveIntoScratch(dst, b, scratch []float64) {
 	n := f.lu.Rows
 	if len(b) != n || len(dst) != n || len(scratch) < n {

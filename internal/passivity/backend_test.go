@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/hamiltonian"
 	"repro/internal/mat"
 	"repro/internal/statespace"
 )
@@ -91,13 +90,12 @@ func TestHalfPathMatchesFullOnReciprocalCases(t *testing.T) {
 	}
 }
 
-// TestBackendBitIdentityAcrossThreadsAndCache pins the determinism
-// contract of the sparse backend at the size where the dispatcher picks
-// it: a banded model at n ≥ 512 must auto-resolve to CSR, its crossings
-// must be bit-identical across worker counts {1, 2, 8} with the default
-// per-solve shift cache and with a thrashing capacity-1 one, and σ
-// sampling must confirm them.
-func TestBackendBitIdentityAcrossThreadsAndCache(t *testing.T) {
+// TestBackendBitIdentityAcrossThreads pins the determinism contract of
+// the sparse backend at the size where the dispatcher picks it: a banded
+// model at n ≥ 512 must auto-resolve to CSR, its crossings must be
+// bit-identical across worker counts {1, 2, 8}, and σ sampling must
+// confirm them.
+func TestBackendBitIdentityAcrossThreads(t *testing.T) {
 	m, err := statespace.Generate(53, statespace.GenOptions{
 		Ports: 8, Order: 512, TargetPeak: 1.05, GridPoints: 100,
 		PortsPerColumn: 1, // one port per column: C is 1/8 dense
@@ -107,32 +105,27 @@ func TestBackendBitIdentityAcrossThreadsAndCache(t *testing.T) {
 	}
 	var ref *Report
 	for _, threads := range []int{1, 2, 8} {
-		for _, cacheSize := range []int{0, 1} { // default, capacity-1 LRU
-			o := charOpts()
-			o.Core.Threads = threads
-			if cacheSize > 0 {
-				o.Ops = hamiltonian.NewOpCache(cacheSize)
-			}
-			rep, err := Characterize(m, o)
-			if err != nil {
-				t.Fatalf("threads=%d cache=%d: %v", threads, cacheSize, err)
-			}
-			if rep.Backend != statespace.BackendSparse {
-				t.Fatalf("threads=%d cache=%d: report says %v, want sparse", threads, cacheSize, rep.Backend)
-			}
-			if ref == nil {
-				ref = rep
-				continue
-			}
-			if len(rep.Crossings) != len(ref.Crossings) {
-				t.Fatalf("threads=%d cache=%d: %d crossings vs %d at the reference config",
-					threads, cacheSize, len(rep.Crossings), len(ref.Crossings))
-			}
-			for k := range rep.Crossings {
-				if rep.Crossings[k] != ref.Crossings[k] {
-					t.Fatalf("threads=%d cache=%d: crossing %d not bit-identical: %v vs %v",
-						threads, cacheSize, k, rep.Crossings[k], ref.Crossings[k])
-				}
+		o := charOpts()
+		o.Core.Threads = threads
+		rep, err := Characterize(m, o)
+		if err != nil {
+			t.Fatalf("threads=%d: %v", threads, err)
+		}
+		if rep.Backend != statespace.BackendSparse {
+			t.Fatalf("threads=%d: report says %v, want sparse", threads, rep.Backend)
+		}
+		if ref == nil {
+			ref = rep
+			continue
+		}
+		if len(rep.Crossings) != len(ref.Crossings) {
+			t.Fatalf("threads=%d: %d crossings vs %d at the reference config",
+				threads, len(rep.Crossings), len(ref.Crossings))
+		}
+		for k := range rep.Crossings {
+			if rep.Crossings[k] != ref.Crossings[k] {
+				t.Fatalf("threads=%d: crossing %d not bit-identical: %v vs %v",
+					threads, k, rep.Crossings[k], ref.Crossings[k])
 			}
 		}
 	}

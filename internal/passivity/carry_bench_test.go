@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hamiltonian"
 	"repro/internal/statespace"
 )
 
 // BenchmarkEnforceOmegaMaxCarry enforces Table-I case 2 (n=1000, p=20, the
-// perfbench enforce model) the way the enforce workload does — a shared
-// pool, a shared operator cache — once carrying the certified ω_max across
+// perfbench enforce model) the way the enforce workload does — on a shared
+// pool — once carrying the certified ω_max across
 // iterations (the only production behaviour) and once re-estimating it
 // every iteration through the in-package reestimateOmegaMax hook. Each leg
 // reports per enforcement the solver work (shifts, applies, restarts),
@@ -38,13 +37,12 @@ func BenchmarkEnforceOmegaMaxCarry(b *testing.B) {
 			b.Run(leg.name+"/T"+itoa(threads), func(b *testing.B) {
 				p := core.NewPool(threads)
 				defer p.Close()
-				ops := hamiltonian.NewOpCache(4 * core.DefaultShiftCacheSize)
 				var tot core.Stats
 				iters := 0
 				cpu0 := processCPU(b)
 				for i := 0; i < b.N; i++ {
 					_, rep, err := Enforce(m, EnforceOptions{
-						Char:               Options{Core: core.Options{Threads: threads, Pool: p}, Ops: ops},
+						Char:               Options{Core: core.Options{Threads: threads, Pool: p}},
 						reestimateOmegaMax: leg.reestimate,
 					})
 					if err != nil {

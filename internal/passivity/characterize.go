@@ -73,13 +73,8 @@ type Options struct {
 	// ProbePoints is the number of σ samples per band when locating the
 	// in-band peak. Default 40.
 	ProbePoints int
-	// Ops optionally shares Hamiltonian operators (and their shift-
-	// factorization cache) across characterizations: when set, the
-	// operator comes from the cache instead of being rebuilt, so
-	// concurrent jobs on the same model reuse one balanced realization,
-	// one packed-kernel build, and one pool of factored shifts. The fleet
-	// engine wires its engine-wide cache here. Nil (the default) builds a
-	// private operator per characterization — the standalone semantics.
+	// Ops is ignored: every characterization builds its own operator. The
+	// field stays only because the benchmark module (perfbench) sets it.
 	Ops *hamiltonian.OpCache
 }
 
@@ -119,13 +114,7 @@ func CharacterizeContext(ctx context.Context, m *statespace.Model, opts Options)
 		return nil, err
 	}
 	opts.setDefaults()
-	var op *hamiltonian.Op
-	var err error
-	if opts.Ops != nil {
-		op, err = opts.Ops.Get(m, hamiltonian.Scattering)
-	} else {
-		op, err = hamiltonian.New(m, hamiltonian.Scattering)
-	}
+	op, err := hamiltonian.New(m, hamiltonian.Scattering)
 	if err != nil {
 		return nil, err
 	}

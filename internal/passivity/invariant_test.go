@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/arnoldi"
 	"repro/internal/core"
-	"repro/internal/hamiltonian"
 )
 
 // reportsBitIdentical fails the test unless the two reports agree bit for
@@ -37,36 +36,28 @@ func reportsBitIdentical(t *testing.T, label string, got, want *Report) {
 	}
 }
 
-// TestCharacterizeCacheInvariant: the shift-factorization cache (the
-// default per-solve one, or a pathological capacity-1 LRU shared through
-// Options.Ops) and the worker count must have NO effect on the report —
-// the cache only skips redundant factorization work.
-func TestCharacterizeCacheInvariant(t *testing.T) {
+// TestCharacterizeThreadsInvariant: the worker count must have NO effect
+// on the report.
+func TestCharacterizeThreadsInvariant(t *testing.T) {
 	m := genModel(t, 42, 26, 1.06)
 	var want *Report
-	for _, cacheSize := range []int{0, 1} {
-		for _, threads := range []int{1, 2, 8} {
-			opts := Options{Core: core.Options{
-				Threads: threads, Seed: 11,
-				Arnoldi: arnoldi.SingleShiftParams{NWanted: 4, MaxDim: 40},
-			}}
-			if cacheSize > 0 {
-				opts.Ops = hamiltonian.NewOpCache(cacheSize)
-			}
-			rep, err := Characterize(m, opts)
-			if err != nil {
-				t.Fatalf("cache=%d threads=%d: %v", cacheSize, threads, err)
-			}
-			if want == nil {
-				want = rep
-				if rep.Passive {
-					t.Fatal("construction drifted: reference model is passive, test would be vacuous")
-				}
-				continue
-			}
-			label := "cache=" + itoa(cacheSize) + " threads=" + itoa(threads)
-			reportsBitIdentical(t, label, rep, want)
+	for _, threads := range []int{1, 2, 8} {
+		opts := Options{Core: core.Options{
+			Threads: threads, Seed: 11,
+			Arnoldi: arnoldi.SingleShiftParams{NWanted: 4, MaxDim: 40},
+		}}
+		rep, err := Characterize(m, opts)
+		if err != nil {
+			t.Fatalf("threads=%d: %v", threads, err)
 		}
+		if want == nil {
+			want = rep
+			if rep.Passive {
+				t.Fatal("construction drifted: reference model is passive, test would be vacuous")
+			}
+			continue
+		}
+		reportsBitIdentical(t, "threads="+itoa(threads), rep, want)
 	}
 }
 

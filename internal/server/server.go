@@ -485,18 +485,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatus is GET /status: engine-wide observability — pool width,
-// queue depth, admission occupancy, per-phase execution counters, shift-
-// cache traffic, and every job's state.
+// queue depth, admission occupancy, per-phase execution counters, and
+// every job's state.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	used, capacity := s.engine.Admission()
-	cache := s.engine.ShiftCacheStats()
 	doc := statusDoc{
 		Draining:   s.draining.Load(),
 		Workers:    s.engine.Workers(),
 		QueueDepth: s.engine.QueueDepth(),
 		Admission:  admissionDoc{Used: used, Capacity: capacity},
 		Phases:     make(map[string]phaseDoc),
-		ShiftCache: shiftCacheDoc{Hits: cache.Hits, Misses: cache.Misses, Evictions: cache.Evictions},
 	}
 	for ph, st := range s.engine.PhaseStats() {
 		doc.Phases[ph] = phaseDoc{Tasks: st.Tasks, BusyNS: st.Busy.Nanoseconds()}

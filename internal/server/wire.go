@@ -117,7 +117,6 @@ type statusDoc struct {
 	QueueDepth int                 `json:"queue_depth"`
 	Admission  admissionDoc        `json:"admission"`
 	Phases     map[string]phaseDoc `json:"phases"`
-	ShiftCache shiftCacheDoc       `json:"shift_cache"`
 	Jobs       []jobDoc            `json:"jobs"`
 	// StoreError surfaces a latched durable-store write failure: the
 	// daemon keeps serving, but checkpoints are no longer being committed.
@@ -132,12 +131,6 @@ type admissionDoc struct {
 type phaseDoc struct {
 	Tasks  int   `json:"tasks"`
 	BusyNS int64 `json:"busy_ns"`
-}
-
-type shiftCacheDoc struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
 }
 
 // errorDoc is every non-2xx JSON body.

@@ -66,8 +66,7 @@ func (m *Model) nnzC() int {
 // sparseMinOrder and C is at most ¼ structurally dense, packed-dense
 // otherwise. The rule is a pure function of the model's structure, so the
 // same model resolves to the same backend on every host and worker count,
-// and the choice can change only when InvalidateKernels bumps the kernel
-// epoch.
+// and the choice can change only after InvalidateKernels.
 func (m *Model) resolveBackend() Backend {
 	n := m.Order()
 	if n >= sparseMinOrder && 4*m.nnzC() <= m.P*n {

@@ -84,17 +84,7 @@ type Model struct {
 	// lazily on first structured-operator call. In-place mutators must call
 	// InvalidateKernels.
 	pack atomic.Pointer[packed]
-	// epoch counts InvalidateKernels calls. Factorization caches key their
-	// entries on it so factored state derived from a superseded kernel
-	// generation can never be served after an in-place mutation.
-	epoch atomic.Uint64
 }
-
-// KernelEpoch returns the model's kernel generation: it starts at zero and
-// advances on every InvalidateKernels call. Any state derived from the
-// packed kernels (e.g. a cached SMW shift factorization) is valid exactly
-// as long as the epoch it was built under is still current.
-func (m *Model) KernelEpoch() uint64 { return m.epoch.Load() }
 
 // Order returns the total dynamic order n = Σ m_k.
 func (m *Model) Order() int {

@@ -71,16 +71,11 @@ func (m *Model) packKernels() *packed {
 	return pk
 }
 
-// InvalidateKernels drops the cached packed kernel data and advances the
-// kernel epoch (KernelEpoch), which invalidates every factorization-cache
-// entry keyed on the previous generation. Callers that mutate a Model in
-// place (pole or residue updates) must invalidate before the next
-// structured-operator call; Clone/Balanced/FrequencyScaled return fresh
-// models and need no invalidation. The epoch bump happens before the cache
-// drop so a concurrent reader can rebuild against stale coefficients only
-// under the already-superseded epoch, never under the new one.
+// InvalidateKernels drops the cached packed kernel data. Callers that
+// mutate a Model in place (pole or residue updates) must invalidate before
+// the next structured-operator call; Clone/Balanced/FrequencyScaled return
+// fresh models and need no invalidation.
 func (m *Model) InvalidateKernels() {
-	m.epoch.Add(1)
 	m.pack.Store(nil)
 }
 

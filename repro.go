@@ -145,23 +145,6 @@ func NewHamiltonian(m *Model, rep Representation) (*Hamiltonian, error) {
 	return hamiltonian.New(m, rep)
 }
 
-// ShiftCache is an LRU of factored shift-invert state shared across
-// ShiftInvert calls (and, via the fleet engine, across jobs on the same
-// model). Results are bit-identical with or without one — the cache only
-// skips redundant SMW factorization work. Callers never need to touch it:
-// every solve attaches a DefaultShiftCacheSize-entry cache to an operator
-// that has none, and every fleet engine shares one cache
-// (4 × DefaultShiftCacheSize entries) across its jobs.
-type ShiftCache = hamiltonian.ShiftCache
-
-// CacheStats is a snapshot of shift-factorization cache traffic (see
-// Fleet.ShiftCacheStats and Hamiltonian.OpCacheStats).
-type CacheStats = hamiltonian.CacheStats
-
-// NewShiftCache builds a standalone factorization cache for manual wiring
-// via Hamiltonian.SetShiftCache (capacity minimum 1).
-func NewShiftCache(capacity int) *ShiftCache { return hamiltonian.NewShiftCache(capacity) }
-
 // ---- the parallel eigensolver (paper Secs. III–IV) ----
 
 // SolverOptions configures the multi-shift eigensolver (threads T, κ, α,
@@ -174,10 +157,6 @@ type SolverResult = core.Result
 
 // ArnoldiParams are the single-shift iteration parameters (n_ϑ, d, tol).
 type ArnoldiParams = arnoldi.SingleShiftParams
-
-// DefaultShiftCacheSize is the capacity of the shift-factorization cache a
-// solve attaches to an operator that has none yet.
-const DefaultShiftCacheSize = core.DefaultShiftCacheSize
 
 // FindImagEigs runs the parallel multi-shift solver and returns all purely
 // imaginary Hamiltonian eigenvalues of the model (scattering test).
