@@ -35,64 +35,48 @@ func EstimateOmegaMax(op *hamiltonian.Op, seed int64) (float64, error) {
 }
 
 // runShift executes one single-shift iteration S(jω, ρ₀) on a freshly
-// factored shift-invert operator.
-// When the operator carries the half-size reciprocal path, the iteration
-// runs in the squared spectral space μ = λ² at shift τ = −ω² and the
-// result is mapped back to λ-space (see runShiftHalf); the returned
-// eigenvalue estimates feed the same full-size refinement pipeline either
-// way.
+// factored shift-invert operator. When a shift collides with an eigenvalue
+// (a crossing sits exactly at ω), ω is nudged by a tiny relative offset
+// and the shift is factored once more, on either path.
+//
+// When HalfRouted takes the shift, the iteration runs on the half-size
+// reciprocal path, in the squared spectral space μ = λ² at shift τ = −ω².
+// The λ-disk |λ − jω| ≤ ρ maps into the μ-disk |μ + ω²| ≤ ρ·(ρ + 2ω)
+// (since μ − τ = (λ − jω)(λ + jω) and |λ + jω| ≤ |λ − jω| + 2ω), so
+// running the same certified-disk iteration at τ with the enlarged radius
+// covers every Hamiltonian eigenvalue the full-size shift would certify.
+// Found eigenvalues map back through the canonical square root (Im λ ≥ 0 —
+// a genuine eigenvalue of M, which is symmetric under λ ↦ −λ, and the
+// representative the crossing pipeline wants; see mapHalfResult). The
+// returned eigenvalue estimates feed the same full-size refinement
+// pipeline either way.
 func runShift(op *hamiltonian.Op, omega, rho0 float64, params arnoldi.SingleShiftParams) (*arnoldi.SingleShiftResult, error) {
+	nudge := omega * 1e-9
+	if nudge == 0 {
+		nudge = rho0 * 1e-9
+	}
 	if op.HalfRouted(omega, rho0) {
-		return runShiftHalf(op, op.Half(), omega, rho0, params)
+		so, err := op.ShiftInvertHalf(op.SweepTheta(omega, rho0))
+		if err != nil {
+			if so, err = op.ShiftInvertHalf(op.SweepTheta(omega+nudge, rho0)); err != nil {
+				return nil, err
+			}
+		}
+		// τ = −ω² is real and N is a real operator, so the μ-space
+		// iteration runs in real arithmetic end to end.
+		mres, err := arnoldi.SingleShiftReal(so, rho0*(rho0+2*omega), params)
+		if err != nil {
+			return nil, err
+		}
+		return mapHalfResult(mres, omega), nil
 	}
 	so, err := op.ShiftInvert(complex(0, omega))
 	if err != nil {
-		// The shift collided with an eigenvalue (a crossing sits exactly at
-		// ω). Nudge it by a tiny relative offset and retry once.
-		nudge := omega * 1e-9
-		if nudge == 0 {
-			nudge = rho0 * 1e-9
-		}
-		so, err = op.ShiftInvert(complex(0, omega+nudge))
-		if err != nil {
+		if so, err = op.ShiftInvert(complex(0, omega+nudge)); err != nil {
 			return nil, err
 		}
 	}
-	defer so.Release()
 	return arnoldi.SingleShift(so, rho0, params)
-}
-
-// runShiftHalf is the half-size sweep iteration for reciprocal models.
-// The λ-disk |λ − jω| ≤ ρ maps into the μ-disk |μ + ω²| ≤ ρ·(ρ + 2ω)
-// (since μ − τ = (λ − jω)(λ + jω) and |λ + jω| ≤ |λ − jω| + 2ω), so
-// running the same certified-disk iteration at τ = −ω² with the enlarged
-// radius covers every Hamiltonian eigenvalue the full-size shift would
-// certify. Found eigenvalues map back through the canonical square root
-// (Im λ ≥ 0 — a genuine eigenvalue of M, which is symmetric under λ ↦ −λ,
-// and the representative the crossing pipeline wants).
-func runShiftHalf(op *hamiltonian.Op, h *hamiltonian.HalfOp, omega, rho0 float64, params arnoldi.SingleShiftParams) (*arnoldi.SingleShiftResult, error) {
-	so, err := h.ShiftInvert(op.SweepTheta(omega, rho0))
-	if err != nil {
-		// τ collided with an eigenvalue of N; nudge ω exactly like the
-		// full path and re-square.
-		nudge := omega * 1e-9
-		if nudge == 0 {
-			nudge = rho0 * 1e-9
-		}
-		so, err = h.ShiftInvert(op.SweepTheta(omega+nudge, rho0))
-		if err != nil {
-			return nil, err
-		}
-	}
-	defer so.Release()
-	rhoMu := rho0 * (rho0 + 2*omega)
-	// τ = −ω² is real and N is a real operator, so the μ-space iteration
-	// runs in real arithmetic end to end.
-	mres, err := arnoldi.SingleShiftReal(so, rhoMu, params)
-	if err != nil {
-		return nil, err
-	}
-	return mapHalfResult(mres, omega), nil
 }
 
 // mapHalfResult converts a μ-space (μ = λ²) single-shift result to

@@ -346,9 +346,16 @@ func TestPoolCloseFailsQueuedBatch(t *testing.T) {
 
 	closed := make(chan struct{})
 	go func() { p.Close(); close(closed) }()
-	// Close drains the two queued tasks as failed, then waits for the
-	// in-flight gate task.
-	time.Sleep(2 * time.Millisecond)
+	// Close drains the two queued tasks as failed, under the pool lock that
+	// also sets closed, then waits for the in-flight gate task. Open the
+	// gate only once that drain has happened, however slowly the closing
+	// goroutine is scheduled.
+	for closing := false; !closing; {
+		runtime.Gosched()
+		p.mu.Lock()
+		closing = p.closed
+		p.mu.Unlock()
+	}
 	close(gate)
 	select {
 	case err := <-done:

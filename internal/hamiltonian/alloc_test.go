@@ -5,12 +5,14 @@ import (
 	"testing"
 )
 
-// Allocation regressions for the two hot operator paths. Seed numbers
+// Allocation regressions for the hot operator paths. Seed numbers
 // (pre-packed kernels, PR 1 baseline): Op.Apply allocated 3 slices per
 // call (t, wt ∈ C^{2p}, u ∈ C^{2n}) and ShiftOp.Apply 1 (the CLU
 // permutation gather buffer) — about 30.5k allocs and ~199 MB per Fig. 6
-// Case-5 solve. Both must now be allocation-free in steady state: Op.Apply
-// draws its workspace from a sync.Pool and ShiftOp owns all its scratch.
+// Case-5 solve. All must now be allocation-free in steady state: Op.Apply
+// draws its workspace from a sync.Pool, and each ShiftOp/HalfShiftOp
+// allocates all its apply scratch with its factor, once per shift. The
+// per-shift cost (factor plus scratch) is sized by BenchmarkShiftInvert.
 
 func TestOpApplyZeroAllocs(t *testing.T) {
 	m := testModel(t, 11, 4, 24, 0.95)
@@ -54,5 +56,39 @@ func TestShiftOpApplyZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("ShiftOp.Apply allocates %.1f objects per call, want 0", avg)
+	}
+
+	// The half lane: HalfShiftOp.Apply and ApplyBase run on the scratch
+	// the operator allocated with its factor.
+	rm := reciprocalModel(t, 13, 4, 24, 0.95)
+	hop, err := New(rm, Scattering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hop.HalfPath() {
+		t.Fatal("half path not engaged")
+	}
+	w := 0.5 * rm.MaxPoleMagnitude()
+	hso, err := hop.ShiftInvertHalf(complex(-(w * w), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	xr := randRVec(rng, hop.N)
+	yr := make([]float64, hop.N)
+	for _, c := range []struct {
+		name  string
+		apply func(y, x []float64) error
+	}{{"Apply", hso.Apply}, {"ApplyBase", hso.ApplyBase}} {
+		name, apply := c.name, c.apply
+		if err := apply(yr, xr); err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := apply(yr, xr); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("HalfShiftOp.%s allocates %.1f objects per call, want 0", name, avg)
+		}
 	}
 }

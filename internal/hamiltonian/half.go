@@ -1,8 +1,8 @@
 package hamiltonian
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/mat"
 )
@@ -45,25 +45,11 @@ import (
 // arbitration and ω_max estimation stay on the full-size operator — the
 // half path accelerates only the sweep.
 
-// HalfOp is the half-size operator N = A² + U·V of a reciprocal model's
-// Hamiltonian, sharing its parent Op's model. It is read-only after
-// construction and safe for concurrent use; per-shift state lives in
-// HalfShiftOp.
-type HalfOp struct {
-	op   *Op
-	n, p int
-	// vt is the coupling V stored transposed (n×2p row-major) so the
-	// block-local panel kernels and the V apply stream one contiguous
-	// 2p-row per state.
-	vt []float64
-
-	shiftPool sync.Pool
-	panelPool sync.Pool
-}
-
-// newHalfOp precomputes the half-size coupling V from the parent's
-// (balanced) model and representation. O(p²·n) one-time work.
-func newHalfOp(op *Op) (*HalfOp, error) {
+// newHalfCoupling precomputes the half-size coupling V of the operator's
+// (balanced) model and representation, stored transposed (n×2p row-major)
+// so the block-local panel kernels and the V apply stream one contiguous
+// 2p-row per state. O(p²·n) one-time work.
+func newHalfCoupling(op *Op) ([]float64, error) {
 	m := op.Model
 	p, n := op.P, op.N
 	var wp, wq *mat.Dense
@@ -122,134 +108,95 @@ func newHalfOp(op *Op) (*HalfOp, error) {
 			vt[j*q+p+i] = row2.At(i, j)
 		}
 	}
-	return &HalfOp{op: op, n: n, p: p, vt: vt}, nil
+	return vt, nil
 }
 
-// Dim returns the half-size dimension n.
-func (h *HalfOp) Dim() int { return h.n }
+// HalfPath reports whether the operator carries the half-size reciprocal
+// path (N = A² + U·V on n states).
+func (op *Op) HalfPath() bool { return op.vt != nil }
 
-// Op returns the parent full-size operator.
-func (h *HalfOp) Op() *Op { return h.op }
-
-// applyV computes t = V·x, t ∈ R^{2p}, streaming vt state-major with one
-// fixed accumulation order (deterministic for any caller).
-func (h *HalfOp) applyV(t, x []float64) {
-	mat.MulVecTrans(t[:2*h.p], h.vt, x[:h.n])
+// applyHalfV computes t = V·x, t ∈ R^{2p}, streaming vt state-major with
+// one fixed accumulation order (deterministic for any caller).
+func (op *Op) applyHalfV(t, x []float64) {
+	mat.MulVecTrans(t[:2*op.P], op.vt, x[:op.N])
 }
 
-// getHalfPanel returns a pooled 2p×2p capacitance panel buffer.
-func (h *HalfOp) getHalfPanel() []float64 {
-	if b, ok := h.panelPool.Get().([]float64); ok {
-		return b
-	}
-	return make([]float64, 4*h.p*h.p)
-}
-
-// ShiftInvert factors (N − τI)⁻¹ via the same SMW identity as the full
+// ShiftInvertHalf factors (N − τI)⁻¹ via the same SMW identity as the full
 // path: Gτ − Gτ·U·(I + V·Gτ·U)⁻¹·V·Gτ with Gτ = (A² − τI)⁻¹ block
-// diagonal. The shift τ must be real (the sweep's τ = −ω² always is);
-// factorization and applies then run entirely in real arithmetic. Every
-// call factors its shift afresh and the returned operator owns the factor;
-// Release it when done to drop the factor and recycle its scratch.
-func (h *HalfOp) ShiftInvert(tau complex128) (*HalfShiftOp, error) {
+// diagonal. The operator must carry the half path (HalfPath) and the shift
+// τ must be real (the sweep's τ = −ω² always is); factorization and
+// applies then run entirely in real arithmetic. Every call factors its
+// shift afresh and the returned operator owns the factor and its scratch.
+func (op *Op) ShiftInvertHalf(tau complex128) (*HalfShiftOp, error) {
+	if op.vt == nil {
+		return nil, errors.New("hamiltonian: operator has no half path")
+	}
 	if imag(tau) != 0 {
 		return nil, fmt.Errorf("hamiltonian: half shift %v must be real", tau)
 	}
-	lu, err := h.factorShift(tau)
-	if err != nil {
-		return nil, err
-	}
-	return h.newShiftOp(tau, lu), nil
-}
-
-// factorShift runs the half-size SMW setup for one shift: the real 2p×2p
-// panel V·Gτ·U in one pass over the packed kernels, then capacitance
-// assembly and factorization.
-func (h *HalfOp) factorShift(tau complex128) (*mat.LU, error) {
-	panel := h.getHalfPanel()
-	defer h.panelPool.Put(panel)
-	if err := h.op.Model.RResolventA2BPair(panel, h.vt, 2*h.p, real(tau)); err != nil {
+	// The capacitance I + V·Gτ·U: the panel kernel writes V·Gτ·U straight
+	// into the 2p×2p matrix, which is then factored in place.
+	q := 2 * op.P
+	capm := mat.NewDense(q, q)
+	if err := op.Model.RResolventA2BPair(capm.Data, op.vt, q, real(tau)); err != nil {
 		return nil, fmt.Errorf("hamiltonian: half shift %v hits a pole: %w", tau, err)
 	}
-	q := 2 * h.p
-	capm := mat.NewDense(q, q)
 	for i := 0; i < q; i++ {
-		copy(capm.Row(i), panel[i*q:(i+1)*q])
 		capm.Row(i)[i]++
 	}
-	f, err := mat.LUFactorInPlace(capm)
+	lu, err := mat.LUFactorInPlace(capm)
 	if err != nil {
 		return nil, fmt.Errorf("hamiltonian: half shift %v is (numerically) an eigenvalue: %w", tau, err)
 	}
-	return f, nil
-}
-
-// HalfShiftOp is the half-size shift-invert operator (N − τI)⁻¹ for one
-// real shift τ: the shift, its real LU-factored 2p×2p SMW capacitance
-// I + V·Gτ·U and private apply scratch. All vectors are real. Like ShiftOp
-// it is single-goroutine. Call Release when done.
-type HalfShiftOp struct {
-	h   *HalfOp
-	tau complex128
-	lu  *mat.LU
-	// scratch
-	g, gu   []float64 // n
-	s, t    []float64 // 2p
-	permBuf []float64 // 2p
-}
-
-// newShiftOp wraps a factor in a (pooled) HalfShiftOp shell.
-func (h *HalfOp) newShiftOp(tau complex128, lu *mat.LU) *HalfShiftOp {
-	if so, ok := h.shiftPool.Get().(*HalfShiftOp); ok {
-		so.tau, so.lu = tau, lu
-		return so
-	}
-	n, q := h.n, 2*h.p
-	buf := make([]float64, 2*n+3*q)
+	n := op.N
+	buf := make([]float64, 2*n+2*q)
 	return &HalfShiftOp{
-		h:       h,
+		op:      op,
 		tau:     tau,
 		lu:      lu,
 		g:       buf[:n],
 		gu:      buf[n : 2*n],
 		s:       buf[2*n : 2*n+q],
-		t:       buf[2*n+q : 2*n+2*q],
-		permBuf: buf[2*n+2*q:],
-	}
+		permBuf: buf[2*n+q:],
+	}, nil
 }
 
-// Release drops the factor and returns the operator's scratch to the
-// pool, mirroring ShiftOp.Release.
-func (so *HalfShiftOp) Release() {
-	if so == nil {
-		return
-	}
-	so.lu = nil
-	so.h.shiftPool.Put(so)
+// HalfShiftOp is the half-size shift-invert operator (N − τI)⁻¹ for one
+// real shift τ: the shift, its real LU-factored 2p×2p SMW capacitance
+// I + V·Gτ·U and private apply scratch. All vectors are real. Like ShiftOp
+// it is single-goroutine.
+type HalfShiftOp struct {
+	op  *Op
+	tau complex128
+	lu  *mat.LU
+	// scratch
+	g, gu   []float64 // n
+	s       []float64 // 2p
+	permBuf []float64 // 2p
 }
 
 // Theta returns the shift τ (in μ = λ² space).
 func (so *HalfShiftOp) Theta() complex128 { return so.tau }
 
 // Dim returns the half-size dimension n.
-func (so *HalfShiftOp) Dim() int { return so.h.n }
+func (so *HalfShiftOp) Dim() int { return so.op.N }
 
 // Apply computes y = (N − τI)⁻¹·x on real vectors. x and y have length n
 // and may alias.
 func (so *HalfShiftOp) Apply(y, x []float64) error {
-	h := so.h
-	n := h.n
+	op := so.op
+	n, p := op.N, op.P
 	if len(x) != n || len(y) != n {
 		panic(fmt.Sprintf("hamiltonian: HalfShiftOp.Apply expects vectors of length %d", n))
 	}
 	tau := real(so.tau)
-	m := h.op.Model
+	m := op.Model
 	if err := m.RSolveShiftedA2(so.g, x, tau); err != nil {
 		return err
 	}
-	h.applyV(so.s, so.g)
+	op.applyHalfV(so.s, so.g)
 	so.lu.SolveIntoScratch(so.s, so.s, so.permBuf)
-	m.RApplyABPair(so.gu, so.s[:h.p], so.s[h.p:])
+	m.RApplyABPair(so.gu, so.s[:p], so.s[p:])
 	if err := m.RSolveShiftedA2(so.gu, so.gu, tau); err != nil {
 		return err
 	}
@@ -263,11 +210,12 @@ func (so *HalfShiftOp) Apply(y, x []float64) error {
 // U·(V·x), letting the Arnoldi layer measure eigenpair residuals in N
 // (they map to λ-space error bars in core).
 func (so *HalfShiftOp) ApplyBase(y, x []float64) error {
-	h := so.h
-	m := h.op.Model
+	op := so.op
+	p := op.P
+	m := op.Model
 	m.RApplyA2(y, x)
-	h.applyV(so.t, x)
-	m.RApplyABPair(so.gu, so.t[:h.p], so.t[h.p:])
+	op.applyHalfV(so.s, x)
+	m.RApplyABPair(so.gu, so.s[:p], so.s[p:])
 	for i := range y {
 		y[i] += so.gu[i]
 	}

@@ -73,7 +73,7 @@ func TestHalfSpectrumIsSquaredHamiltonianSpectrum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", rep, err)
 		}
-		if op.Half() == nil {
+		if !op.HalfPath() {
 			t.Fatalf("%v: half path not engaged on a reciprocal model", rep)
 		}
 		mEigs, err := mat.EigValues(op.Dense())
@@ -136,20 +136,18 @@ func TestHalfApplyBaseMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := op.Half()
-	if h == nil {
+	if !op.HalfPath() {
 		t.Fatal("half path not engaged")
 	}
 	nd := denseHalfN(t, op)
-	so, err := h.ShiftInvert(complex(-1e18, 0))
+	so, err := op.ShiftInvertHalf(complex(-1e18, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer so.Release()
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 5; trial++ {
-		x := randRVec(rng, h.Dim())
-		y := make([]float64, h.Dim())
+		x := randRVec(rng, op.N)
+		y := make([]float64, op.N)
 		if err := so.ApplyBase(y, x); err != nil {
 			t.Fatal(err)
 		}
@@ -177,11 +175,10 @@ func TestHalfShiftInvertMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := op.Half()
-	if h == nil {
+	if !op.HalfPath() {
 		t.Fatal("half path not engaged")
 	}
-	n := h.Dim()
+	n := op.N
 	nd := denseHalfN(t, op)
 	rng := rand.New(rand.NewSource(11))
 	for _, tau := range []complex128{
@@ -196,7 +193,7 @@ func TestHalfShiftInvertMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tau %v: dense factor: %v", tau, err)
 		}
-		so, err := h.ShiftInvert(tau)
+		so, err := op.ShiftInvertHalf(tau)
 		if err != nil {
 			t.Fatalf("tau %v: %v", tau, err)
 		}
@@ -217,9 +214,8 @@ func TestHalfShiftInvertMatchesDense(t *testing.T) {
 				t.Fatalf("tau %v: SMW mismatch at %d: %v vs %v", tau, i, y[i], want[i])
 			}
 		}
-		so.Release()
 	}
-	if _, err := h.ShiftInvert(complex(1e18, -5e18)); err == nil {
+	if _, err := op.ShiftInvertHalf(complex(1e18, -5e18)); err == nil {
 		t.Fatal("complex half shift must be rejected")
 	}
 }
@@ -234,8 +230,11 @@ func TestHalfPathGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Half() != nil {
+	if op.HalfPath() {
 		t.Fatal("half path engaged on a non-reciprocal model")
+	}
+	if _, err := op.ShiftInvertHalf(complex(-4e18, 0)); err == nil {
+		t.Fatal("ShiftInvertHalf succeeded on an operator without a half path")
 	}
 	if th := op.SweepTheta(2e9, 1e8); th != complex(0, 2e9) {
 		t.Fatalf("full-path SweepTheta = %v", th)
@@ -246,7 +245,7 @@ func TestHalfPathGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Half() != nil {
+	if op.HalfPath() {
 		t.Fatal("newOp(allowHalf=false) still engaged the half path")
 	}
 
@@ -257,7 +256,7 @@ func TestHalfPathGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Half() != nil {
+	if op.HalfPath() {
 		t.Fatal("bit-perturbed model must not pass exact detection")
 	}
 
@@ -265,7 +264,7 @@ func TestHalfPathGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Half() == nil {
+	if !op.HalfPath() {
 		t.Fatal("reciprocal model did not engage the half path")
 	}
 	if th := op.SweepTheta(2e9, 1e8); th != complex(-4e18, 0) {

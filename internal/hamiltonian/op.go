@@ -17,10 +17,11 @@
 // in core builds on this.
 //
 // Concurrency: an Op is read-only after New and safe for concurrent use —
-// Apply draws its scratch from a sync.Pool and ShiftInvert only reads the
-// packed kernels. A ShiftOp carries per-shift factorization scratch and
-// must stay confined to one goroutine at a time (each pool task builds or
-// owns its own).
+// Apply draws its scratch from a sync.Pool and ShiftInvert/ShiftInvertHalf
+// only read the packed kernels. Each ShiftOp/HalfShiftOp allocates its
+// factor and apply scratch together, owns both, and must stay confined to
+// one goroutine at a time (each pool task builds its own); nothing is
+// pooled or kept across shifts.
 package hamiltonian
 
 import (
@@ -70,25 +71,19 @@ type Op struct {
 	P     int        // ports
 	w     *mat.Dense // 2p×2p coupling
 
-	// half, when non-nil, is the half-size reciprocal sweep operator
-	// (spec(M)² on n states instead of spec(M) on 2n). Built by New when
-	// the model is reciprocal; shares this Op's model.
-	half *HalfOp
+	// vt, when non-nil, is the half-size reciprocal path's coupling V
+	// stored transposed (n×2p, see half.go): the sweep then runs on
+	// N = A² + U·V over n states instead of M over 2n. Set by New when the
+	// model is reciprocal.
+	vt []float64
 
 	// applyPool recycles Apply workspaces (t, wt ∈ C^{2p}, u ∈ C^{2n}) so
 	// steady-state Apply calls are allocation-free; ω_max estimation and
 	// per-eigenvalue residual checks call Apply thousands of times.
 	applyPool sync.Pool
-	// panelPool recycles the p×p SMW setup panels of ShiftInvert.
-	panelPool sync.Pool
-	// shiftPool recycles ShiftOp shells (apply scratch only; Release
-	// drops the factor before the shell goes back).
-	shiftPool sync.Pool
 }
 
 type applyScratch struct{ t, wt, u []complex128 }
-
-type smwPanels struct{ x1, x2 []complex128 }
 
 func (op *Op) getApplyScratch() *applyScratch {
 	if ws, ok := op.applyPool.Get().(*applyScratch); ok {
@@ -102,14 +97,6 @@ func (op *Op) getApplyScratch() *applyScratch {
 	}
 }
 
-func (op *Op) getPanels() *smwPanels {
-	if ps, ok := op.panelPool.Get().(*smwPanels); ok {
-		return ps
-	}
-	pp := op.P * op.P
-	return &smwPanels{x1: make([]complex128, pp), x2: make([]complex128, pp)}
-}
-
 // New builds the Hamiltonian operator for the model. The operator works on
 // a state-balanced copy of the realization (statespace.Model.Balanced):
 // the transfer function — and therefore the Hamiltonian spectrum — is
@@ -119,9 +106,9 @@ func (op *Op) getPanels() *smwPanels {
 //
 // Reciprocity is detected on the source model — before balancing, so
 // bit-exact symmetry of as-built models is seen — and, when it holds, the
-// half-size sweep operator is attached (see HalfOp). A half-path
-// construction failure (e.g. a singular coupling) falls back to the full
-// path.
+// operator carries the half-size sweep path (see HalfPath and
+// ShiftInvertHalf). A half-path construction failure (e.g. a singular
+// coupling) falls back to the full path.
 func New(m *statespace.Model, rep Representation) (*Op, error) {
 	return newOp(m, rep, true)
 }
@@ -183,16 +170,12 @@ func newOp(m *statespace.Model, rep Representation, allowHalf bool) (*Op, error)
 	}
 	op := &Op{Model: m, Rep: rep, N: m.Order(), P: p, w: w}
 	if useHalf {
-		if h, err := newHalfOp(op); err == nil {
-			op.half = h
+		if vt, err := newHalfCoupling(op); err == nil {
+			op.vt = vt
 		}
 	}
 	return op, nil
 }
-
-// Half returns the half-size reciprocal sweep operator, or nil when the
-// full-size path is active.
-func (op *Op) Half() *HalfOp { return op.half }
 
 // HalfSafeFraction bounds how close (relative to ω) a half-path certified
 // disk may approach the origin. Squaring the spectrum costs relative
@@ -211,7 +194,7 @@ const HalfSafeFraction = 0.75
 // half-size path: the operator must carry one and the requested disk must
 // respect HalfSafeFraction.
 func (op *Op) HalfRouted(omega, rho0 float64) bool {
-	return op.half != nil && rho0 < HalfSafeFraction*omega
+	return op.vt != nil && rho0 < HalfSafeFraction*omega
 }
 
 // SweepTheta maps a sweep shift (ω, ρ₀) to the shift the routed path
@@ -293,8 +276,8 @@ func (op *Op) Apply(y, x []complex128) {
 // ShiftOp is a shift-invert operator (M − ϑI)⁻¹ for one shift ϑ: the
 // shift, its LU-factored 2p×2p SMW capacitance and private apply scratch.
 // Each apply costs O(n·p). Not safe for concurrent use (scratch buffers);
-// create one per goroutine. Call Release when done: it drops the factor
-// and recycles the scratch. Using a ShiftOp after Release is a bug.
+// create one per goroutine. It owns nothing shared, so dropping it frees
+// the factor.
 type ShiftOp struct {
 	op    *Op
 	theta complex128
@@ -303,39 +286,6 @@ type ShiftOp struct {
 	g, gu   []complex128 // 2n
 	t, s    []complex128 // 2p
 	permBuf []complex128 // 2p, CLU permutation gather
-}
-
-// newShiftOp wraps a factor in a (pooled) ShiftOp shell.
-func (op *Op) newShiftOp(theta complex128, lu *mat.CLU) *ShiftOp {
-	if so, ok := op.shiftPool.Get().(*ShiftOp); ok {
-		so.theta, so.lu = theta, lu
-		return so
-	}
-	n, p2 := op.N, 2*op.P
-	// All persistent ShiftOp scratch in one allocation.
-	buf := make([]complex128, 4*n+3*p2)
-	return &ShiftOp{
-		op:      op,
-		theta:   theta,
-		lu:      lu,
-		g:       buf[:2*n],
-		gu:      buf[2*n : 4*n],
-		t:       buf[4*n : 4*n+p2],
-		s:       buf[4*n+p2 : 4*n+2*p2],
-		permBuf: buf[4*n+2*p2:],
-	}
-}
-
-// Release drops the factor and returns the operator's scratch to the
-// pool, so a pooled shell never keeps its last factor alive. Safe on nil.
-// Idempotent within one ownership cycle only — after Release the ShiftOp
-// may be handed to another goroutine by the pool.
-func (so *ShiftOp) Release() {
-	if so == nil {
-		return
-	}
-	so.lu = nil
-	so.op.shiftPool.Put(so)
 }
 
 // ShiftInvert factors (M − ϑI)⁻¹ using the Sherman–Morrison–Woodbury form
@@ -355,31 +305,20 @@ func (so *ShiftOp) Release() {
 // ErrSingular when ϑ coincides with an eigenvalue of A/−Aᵀ or of M itself.
 //
 // Every call factors its shift afresh; the returned operator owns the
-// factor. Release it when done to drop the factor and recycle its scratch.
+// factor and its scratch.
 func (op *Op) ShiftInvert(theta complex128) (*ShiftOp, error) {
-	lu, err := op.factorShift(theta)
-	if err != nil {
-		return nil, err
-	}
-	return op.newShiftOp(theta, lu), nil
-}
-
-// factorShift runs the full SMW setup for one shift: both resolvent panels
-// plus capacitance assembly and factorization.
-func (op *Op) factorShift(theta complex128) (*mat.CLU, error) {
 	// Panels: x1 = C·(A−ϑI)⁻¹·B, x2 = Bᵀ·(Aᵀ−(−ϑ)I)⁻¹·Cᵀ (negated during
 	// assembly).
-	ps := op.getPanels()
-	defer op.panelPool.Put(ps)
-	if err := op.Model.CResolventB(ps.x1, theta); err != nil {
-		return nil, fmt.Errorf("hamiltonian: shift %v hits a pole: %w", theta, err)
-	}
-	if err := op.Model.BTResolventCT(ps.x2, -theta); err != nil {
-		return nil, fmt.Errorf("hamiltonian: shift %v hits a pole: %w", theta, err)
-	}
-	p := op.P
+	n, p := op.N, op.P
 	p2 := 2 * p
-	x1, x2 := ps.x1, ps.x2
+	panels := make([]complex128, 2*p*p)
+	x1, x2 := panels[:p*p], panels[p*p:]
+	if err := op.Model.CResolventB(x1, theta); err != nil {
+		return nil, fmt.Errorf("hamiltonian: shift %v hits a pole: %w", theta, err)
+	}
+	if err := op.Model.BTResolventCT(x2, -theta); err != nil {
+		return nil, fmt.Errorf("hamiltonian: shift %v hits a pole: %w", theta, err)
+	}
 	for i := range x2 {
 		x2[i] = -x2[i]
 	}
@@ -407,11 +346,22 @@ func (op *Op) factorShift(theta complex128) (*mat.CLU, error) {
 		}
 		dst[i]++
 	}
-	f, err := mat.CLUFactorInPlace(capm)
+	lu, err := mat.CLUFactorInPlace(capm)
 	if err != nil {
 		return nil, fmt.Errorf("hamiltonian: shift %v is (numerically) an eigenvalue: %w", theta, err)
 	}
-	return f, nil
+	// All persistent ShiftOp scratch in one allocation.
+	buf := make([]complex128, 4*n+3*p2)
+	return &ShiftOp{
+		op:      op,
+		theta:   theta,
+		lu:      lu,
+		g:       buf[:2*n],
+		gu:      buf[2*n : 4*n],
+		t:       buf[4*n : 4*n+p2],
+		s:       buf[4*n+p2 : 4*n+2*p2],
+		permBuf: buf[4*n+2*p2:],
+	}, nil
 }
 
 // applyG computes y = G·x = [(A−ϑI)⁻¹x₁; (−Aᵀ−ϑI)⁻¹x₂] in O(n).

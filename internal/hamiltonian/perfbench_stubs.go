@@ -2,11 +2,12 @@ package hamiltonian
 
 import "repro/internal/statespace"
 
-// The declarations in this file do nothing. The benchmark module
-// (perfbench) is their only user: it compiles against them and reads their
-// counters, which are always zero now that every shift is factored once and
-// no factor or operator is cached. They go, with this file, when perfbench
-// stops naming them.
+// The declarations in this file do nothing of their own. The benchmark
+// module (perfbench) is their only user: it compiles against them, reads
+// their counters, which are always zero now that every shift is factored
+// once and no factor or operator is cached, and reaches the half path
+// through the HalfOp view, which forwards to Op.ShiftInvertHalf. They go,
+// with this file, when perfbench stops naming them.
 
 // NewOptions is the option set of NewWith. It has no fields.
 type NewOptions struct{}
@@ -38,3 +39,21 @@ func (*OpCache) ShiftCache() *ShiftCache { return &ShiftCache{} }
 
 // OpCacheStats returns zero counters.
 func (*Op) OpCacheStats() CacheStats { return CacheStats{} }
+
+// HalfOp is a view of an operator's half path; it forwards to the Op.
+type HalfOp struct{ op *Op }
+
+// Half returns the half-path view. Its ShiftInvert fails when the
+// operator has no half path.
+func (op *Op) Half() *HalfOp { return &HalfOp{op} }
+
+// ShiftInvert is Op.ShiftInvertHalf.
+func (h *HalfOp) ShiftInvert(tau complex128) (*HalfShiftOp, error) {
+	return h.op.ShiftInvertHalf(tau)
+}
+
+// Release does nothing; the operator owns its factor and scratch.
+func (*ShiftOp) Release() {}
+
+// Release does nothing; the operator owns its factor and scratch.
+func (*HalfShiftOp) Release() {}

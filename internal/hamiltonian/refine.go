@@ -35,7 +35,6 @@ func (op *Op) RefineEig(lambda complex128, iters int) (complex128, float64, erro
 			return 0, 0, err
 		}
 	}
-	defer so.Release()
 	// Deterministic start vector.
 	v := make([]complex128, dim)
 	st := uint64(0x243f6a8885a308d3)
@@ -72,9 +71,7 @@ func (op *Op) RefineEig(lambda complex128, iters int) (complex128, float64, erro
 	// factorization noise floor, which lets callers deduplicate crossings
 	// with a window far below genuine narrow-band widths.
 	if so2, err := op.ShiftInvert(mu + offset/1e4); err == nil {
-		err := iterate(so2, 3)
-		so2.Release()
-		if err != nil {
+		if err := iterate(so2, 3); err != nil {
 			return 0, 0, err
 		}
 		mu = rayleigh()

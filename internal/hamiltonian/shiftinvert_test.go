@@ -2,10 +2,8 @@ package hamiltonian
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
-	"weak"
 )
 
 // applyBits runs one ShiftOp apply on a fixed vector and returns the raw
@@ -50,7 +48,6 @@ func TestShiftInvertAfterInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := applyBits(t, so, x)
-	so.Release()
 
 	// Mutate the operator's model in place — the enforcement pattern — and
 	// invalidate. Op.Model is the balanced clone New made, so the mutation
@@ -64,7 +61,6 @@ func TestShiftInvertAfterInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := applyBits(t, so, x)
-	so.Release()
 	if sameBits(got, stale) {
 		t.Fatal("post-invalidation apply equals stale apply: superseded kernels were used")
 	}
@@ -77,14 +73,13 @@ func TestShiftInvertAfterInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := applyBits(t, rso, x)
-	rso.Release()
 	if !sameBits(got, want) {
 		t.Fatal("post-invalidation apply differs from a fresh factorization of the mutated model")
 	}
 }
 
 // TestShiftInvertConcurrentInvalidation hammers one operator from many
-// goroutines — ShiftInvert/Apply/Release interleaved with InvalidateKernels
+// goroutines — ShiftInvert/Apply interleaved with InvalidateKernels
 // — and relies on -race to catch a race between the packed-kernel drop and
 // the rebuilds it forces in the solving goroutines. Results are not
 // compared (the kernels are rebuilt from the same coefficients, so every
@@ -116,10 +111,8 @@ func TestShiftInvertConcurrentInvalidation(t *testing.T) {
 				}
 				if err := so.Apply(y, x); err != nil {
 					t.Error(err)
-					so.Release()
 					return
 				}
-				so.Release()
 			}
 		}(g)
 	}
@@ -133,42 +126,4 @@ func TestShiftInvertConcurrentInvalidation(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-// TestReleaseDropsFactor: Release must drop the operator's factor, so a
-// shell waiting in the scratch pool cannot keep its last LU alive. Checked
-// for both the full-path and the half-path operator.
-func TestReleaseDropsFactor(t *testing.T) {
-	m := reciprocalModel(t, 37, 2, 12, 1.05)
-	op, err := New(m, Scattering)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := op.Half()
-	if h == nil {
-		t.Fatal("half path not engaged")
-	}
-	wmax := m.MaxPoleMagnitude()
-
-	so, err := op.ShiftInvert(complex(0, 0.5*wmax))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := weak.Make(so.lu)
-	so.Release()
-
-	hso, err := h.ShiftInvert(complex(-(0.5*wmax)*(0.5*wmax), 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := weak.Make(hso.lu)
-	hso.Release()
-
-	runtime.GC()
-	if full.Value() != nil {
-		t.Error("ShiftOp.Release kept the full-path factor alive")
-	}
-	if half.Value() != nil {
-		t.Error("HalfShiftOp.Release kept the half-path factor alive")
-	}
 }

@@ -128,7 +128,7 @@ func CharacterizeContext(ctx context.Context, m *statespace.Model, opts Options)
 		OmegaMax:  res.OmegaMax,
 		Solver:    res.Stats,
 		Backend:   m.ActiveBackend(),
-		HalfPath:  op.Half() != nil,
+		HalfPath:  op.HalfPath(),
 	}
 	rep.Bands, err = classifyBands(ctx, opts.Core.Client, m, res.Crossings, res.OmegaMax, opts.ProbePoints, opts.Core.Progress)
 	if err != nil {
