@@ -257,9 +257,10 @@ func BenchmarkVectorFitting(b *testing.B) {
 // BenchmarkSnpcheckFit measures the snpcheck fit stage on a synthetic
 // many-port (8-port) sweep — the workload whose per-column SVD-heavy LS
 // solves the pool-routed PhaseFit batches overlap. T01 is the sequential
-// baseline; T08 runs the same fit on an 8-worker pool (bit-identical
-// output; cmd/fleetbench's vectfit A/B records the wall-time ratio in
-// BENCH_fleet.json).
+// baseline; T08 runs the same fit on an 8-worker pool, and the T01/T08
+// ratio is the pool-routed fit's wall-time win. vectfit's
+// TestFitPoolRoutedBitIdentical holds the output bit-identical across
+// thread counts.
 func BenchmarkSnpcheckFit(b *testing.B) {
 	device, err := repro.GenerateModel(7, repro.GenOptions{Ports: 8, Order: 48, TargetPeak: 1.02})
 	if err != nil {

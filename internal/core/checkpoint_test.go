@@ -48,9 +48,9 @@ func (c *ckCollector) commits() int {
 
 // runWithCheckpoints solves one case on a fresh pool with checkpoint
 // collection and returns the result plus the sequence-ordered events.
-func runWithCheckpoints(t *testing.T, seed int64, order int, peak float64) (*Result, []Checkpoint) {
+func runWithCheckpoints(t *testing.T, seed int64, ports, order int, peak float64) (*Result, []Checkpoint) {
 	t.Helper()
-	op := buildOp(t, seed, 2, order, peak)
+	op := buildOp(t, seed, ports, order, peak)
 	var col ckCollector
 	pool := NewPool(3)
 	defer pool.Close()
@@ -83,7 +83,7 @@ func foldPrefix(cks []Checkpoint, n int) *ResumeState {
 // committed shift, contiguous sequence numbers, counters in lockstep, and
 // an empty uncovered set at the final commit.
 func TestCheckpointSequence(t *testing.T) {
-	res, cks := runWithCheckpoints(t, 61, 24, 1.06)
+	res, cks := runWithCheckpoints(t, 61, 2, 24, 1.06)
 	if len(cks) < 2 {
 		t.Fatalf("expected at least 2 checkpoints, got %d", len(cks))
 	}
@@ -115,26 +115,29 @@ func TestCheckpointSequence(t *testing.T) {
 // TestCheckpointResumeBitIdentical is the core durability guarantee: a
 // solve resumed from any contiguous checkpoint prefix reports crossings
 // and ω_max bit-identical to the uninterrupted run, while re-executing
-// only the uncovered remainder.
+// only the uncovered remainder. The last row is Table-I-shaped: case 1's
+// seed, port count and peak at order 125.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		seed  int64
+		ports int
 		order int
 		peak  float64
 	}{
-		{seed: 61, order: 24, peak: 1.06},
-		{seed: 62, order: 30, peak: 1.04},
-		{seed: 64, order: 28, peak: 1.05},
+		{seed: 61, ports: 2, order: 24, peak: 1.06},
+		{seed: 62, ports: 2, order: 30, peak: 1.04},
+		{seed: 64, ports: 2, order: 28, peak: 1.05},
+		{seed: 1, ports: 20, order: 125, peak: 1.01},
 	}
 	for _, tc := range cases {
-		ref, cks := runWithCheckpoints(t, tc.seed, tc.order, tc.peak)
+		ref, cks := runWithCheckpoints(t, tc.seed, tc.ports, tc.order, tc.peak)
 		refShifts := len(cks) - 1
 		// Three prefixes: submission only (resume skips estimation but
 		// re-runs every shift), mid-run, and the complete log.
 		prefixes := []int{1, (len(cks) + 1) / 2, len(cks)}
 		for _, n := range prefixes {
 			rs := foldPrefix(cks, n)
-			op := buildOp(t, tc.seed, 2, tc.order, tc.peak)
+			op := buildOp(t, tc.seed, tc.ports, tc.order, tc.peak)
 			var col ckCollector
 			pool := NewPool(3)
 			j, err := pool.Submit(context.Background(), op, Options{

@@ -29,8 +29,8 @@ const (
 
 // Phase labels for the pool's per-phase execution counters. Every task
 // names the compute phase it belongs to; PhaseStats aggregates executed
-// tasks and busy time per label, which is how cmd/fleetbench tracks
-// worker utilization outside the eigensolver phase.
+// tasks and busy time per label, which is how cmd/benchtable's fleet leg
+// tracks worker utilization outside the eigensolver phase.
 const (
 	// PhaseEig is a tentative-interval shift task of a multi-shift solve.
 	PhaseEig = "eig"

@@ -83,32 +83,44 @@ func TestSharedPoolMatchesStandalone(t *testing.T) {
 
 // TestSolveContextCancel: canceling mid-solve returns ctx.Err() and leaks
 // no goroutines (pool workers, ctx watcher, refinement workers all exit).
+//
+// The cancel lands mid-solve on any host: the first PhaseEig progress
+// event cancels, and the pool's only worker then waits inside the callback
+// until the ctx watcher has purged the job's queued shifts. So no shift
+// runs after the cancel, and a solve that still had work queued at that
+// event cannot finish; the test fails if the first event already saw the
+// whole solve done (the model would then be too small to test this).
 func TestSolveContextCancel(t *testing.T) {
 	op := buildOp(t, 65, 2, 60, 1.05)
 	before := runtime.NumGoroutine()
 
+	p := NewPool(1)
 	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var res *Result
-	var err error
-	go func() {
-		defer wg.Done()
-		res, err = SolveContext(ctx, op, Options{
-			Threads: 2, Seed: 1,
-			Arnoldi: arnoldi.SingleShiftParams{MaxDim: 40},
-		})
-	}()
-	// Cancel quickly — usually mid-solve; the assertion holds either way.
-	time.Sleep(2 * time.Millisecond)
-	cancel()
-	wg.Wait()
-	if err == nil {
-		t.Log("solve finished before cancellation took effect")
-		if res == nil {
-			t.Fatal("nil result without error")
-		}
-	} else if !errors.Is(err, context.Canceled) {
+	defer cancel()
+	var once sync.Once
+	var first ProgressEvent
+	_, err := SolveContext(ctx, op, Options{
+		Threads: 2, Seed: 1, Pool: p,
+		Arnoldi: arnoldi.SingleShiftParams{MaxDim: 40},
+		Progress: func(ev ProgressEvent) {
+			if ev.Phase != PhaseEig {
+				return
+			}
+			once.Do(func() {
+				first = ev
+				cancel()
+				deadline := time.Now().Add(10 * time.Second)
+				for ev.Done < ev.Total && p.QueueDepth() > 0 && time.Now().Before(deadline) {
+					time.Sleep(100 * time.Microsecond)
+				}
+			})
+		},
+	})
+	p.Close() // waits for the worker, so first is safe to read
+	if first.Done >= first.Total {
+		t.Fatalf("first shift event saw the solve done (%d/%d); nothing left to cancel", first.Done, first.Total)
+	}
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 

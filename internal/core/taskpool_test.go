@@ -393,7 +393,8 @@ func TestSubmitRejectsForeignClient(t *testing.T) {
 }
 
 // TestEigTasksAccountedPerPhase: a pooled solve books its shift tasks
-// under PhaseEig — the counter fleetbench uses for per-phase utilization.
+// under PhaseEig — the counter benchtable's fleet leg uses for per-phase
+// utilization.
 // The ω_max estimation sweep is itself one PhaseEig pool task, and the
 // collect tail books its refinements under PhaseRefine.
 func TestEigTasksAccountedPerPhase(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/passivity"
 )
 
 // TestFleetAdmissionBlocksUntilSlotFrees: with MaxQueued=1 the second
@@ -182,52 +183,59 @@ func TestFleetCloseWhileSubmitBlocked(t *testing.T) {
 
 // TestFleetInteractiveOvertakesBatch: an interactive characterization
 // submitted mid-batch must complete before the queued batch jobs drain —
-// the fleet-level view of the pool's priority classes.
+// the fleet-level view of the pool's priority classes. The batch is made
+// of characterizations in one row and of enforcements (each a chain of
+// re-characterizations and constraint batches) in the other.
 func TestFleetInteractiveOvertakesBatch(t *testing.T) {
-	e := NewEngine(EngineOptions{Workers: 1})
-	defer e.Close()
-
-	batch := make([]*Job, 4)
-	for i := range batch {
-		j, err := e.Submit(context.Background(), Request{
-			Model:    genModel(t, int64(110+i), 60, 1.05),
+	for _, enforce := range []bool{false, true} {
+		e := NewEngine(EngineOptions{Workers: 1})
+		batch := make([]*Job, 4)
+		for i := range batch {
+			req := Request{
+				Model:    genModel(t, int64(110+i), 60, 1.05),
+				Char:     charOpts(1),
+				Priority: core.PriorityBatch,
+			}
+			if enforce {
+				req.Enforce = &passivity.EnforceOptions{Char: charOpts(1)}
+			}
+			j, err := e.Submit(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch[i] = j
+		}
+		inter, err := e.Submit(context.Background(), Request{
+			Model:    genModel(t, 120, 12, 1.0),
 			Char:     charOpts(1),
-			Priority: core.PriorityBatch,
+			Priority: core.PriorityInteractive,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch[i] = j
-	}
-	inter, err := e.Submit(context.Background(), Request{
-		Model:    genModel(t, 120, 12, 1.0),
-		Char:     charOpts(1),
-		Priority: core.PriorityInteractive,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inter.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// A single worker grinding four order-60 solves cannot have drained
-	// the whole batch before the order-12 interactive job — unless the
-	// interactive tasks overtook the queued batch tasks, at least the last
-	// batch job must still be unfinished here.
-	stillQueued := 0
-	for _, j := range batch {
-		select {
-		case <-j.Done():
-		default:
-			stillQueued++
+		if _, err := inter.Wait(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if stillQueued == 0 {
-		t.Fatal("interactive job finished after the entire batch: priority had no effect")
-	}
-	for i, j := range batch {
-		if _, err := j.Wait(); err != nil {
-			t.Fatalf("batch job %d: %v", i, err)
+		// A single worker grinding four order-60 jobs cannot have drained
+		// the whole batch before the order-12 interactive job — unless the
+		// interactive tasks overtook the queued batch tasks, at least the
+		// last batch job must still be unfinished here.
+		stillQueued := 0
+		for _, j := range batch {
+			select {
+			case <-j.Done():
+			default:
+				stillQueued++
+			}
 		}
+		if stillQueued == 0 {
+			t.Fatalf("enforce=%v: interactive job finished after the entire batch: priority had no effect", enforce)
+		}
+		for i, j := range batch {
+			if _, err := j.Wait(); err != nil && !errors.Is(err, passivity.ErrEnforcementFailed) {
+				t.Fatalf("enforce=%v: batch job %d: %v", enforce, i, err)
+			}
+		}
+		e.Close()
 	}
 }

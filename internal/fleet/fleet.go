@@ -31,8 +31,9 @@
 // Invariants: one scheduling client spans every compute phase of a job
 // (shifts, probes, constraints, refinement tails), so priority and
 // fairness apply to the job as a whole; job results are bit-identical to
-// standalone runs of the same request (fleetbench asserts this across all
-// twelve Table-I cases).
+// standalone runs of the same request (TestFleetMatchesSerialPerModel
+// asserts this, and cmd/benchtable's fleet leg fails on any difference
+// across the Table-I cases it runs).
 //
 // Concurrency: Engine methods are safe for concurrent use. Submit may
 // block on admission; each job is coordinated by one goroutine that is
@@ -134,8 +135,8 @@ func (e *Engine) Admission() (used, capacity int) {
 
 // PhaseStats snapshots the shared pool's per-phase execution counters
 // (tasks + busy time per compute phase: core.PhaseEig, core.PhaseProbe,
-// core.PhaseConstraint, ...). cmd/fleetbench derives per-phase worker
-// utilization from it.
+// core.PhaseConstraint, ...). cmd/benchtable's fleet leg derives
+// per-phase worker utilization from it.
 func (e *Engine) PhaseStats() map[string]core.PhaseStat { return e.pool.PhaseStats() }
 
 // NewClient registers a scheduling identity on the engine's shared pool

@@ -33,24 +33,44 @@ func charOpts(threads int) passivity.Options {
 
 // TestFleetMatchesSerialPerModel: N concurrent jobs on the shared pool must
 // produce crossings bit-identical to serial per-model characterizations.
+// Besides the 2-port models, two Table-I-shaped inputs (cases 1 and 3 at
+// a fifth of their order: n = 200, p = 20) give the fleet many-port jobs.
 func TestFleetMatchesSerialPerModel(t *testing.T) {
-	type spec struct {
+	// Each input is built twice, so the serial and the fleet run each get
+	// a fresh model.
+	var builds []func() *statespace.Model
+	for _, s := range []struct {
 		seed  int64
 		order int
 		peak  float64
-	}
-	specs := []spec{
+	}{
 		{81, 24, 1.06},
 		{82, 30, 1.04},
 		{83, 26, 0.92},
 		{84, 28, 1.05},
 		{85, 22, 1.03},
 		{86, 20, 1.07},
+	} {
+		builds = append(builds, func() *statespace.Model { return genModel(t, s.seed, s.order, s.peak) })
+	}
+	for _, id := range []int{1, 3} {
+		spec, err := statespace.FindCase(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.N /= 5
+		builds = append(builds, func() *statespace.Model {
+			m, err := statespace.BuildCase(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		})
 	}
 	// Serial per-model references, one standalone Characterize each.
-	refs := make([]*passivity.Report, len(specs))
-	for i, s := range specs {
-		rep, err := passivity.Characterize(genModel(t, s.seed, s.order, s.peak), charOpts(2))
+	refs := make([]*passivity.Report, len(builds))
+	for i, build := range builds {
+		rep, err := passivity.Characterize(build(), charOpts(2))
 		if err != nil {
 			t.Fatalf("serial %d: %v", i, err)
 		}
@@ -59,10 +79,10 @@ func TestFleetMatchesSerialPerModel(t *testing.T) {
 	// All jobs concurrently on one shared pool.
 	e := New(4)
 	defer e.Close()
-	jobs := make([]*Job, len(specs))
-	for i, s := range specs {
+	jobs := make([]*Job, len(builds))
+	for i, build := range builds {
 		j, err := e.Submit(context.Background(), Request{
-			Model: genModel(t, s.seed, s.order, s.peak),
+			Model: build(),
 			Char:  charOpts(2),
 		})
 		if err != nil {

@@ -12,9 +12,10 @@
 // evaluated values — results are independent of evaluation order and
 // therefore of the worker count.
 //
-// Concurrency: with Options.Pool/Client set, the bootstrap grid runs as
-// one core.PhaseSample task batch on the shared pool (each task writes an
-// index-assigned slot); otherwise evaluation is sequential on the calling
+// Concurrency: the bootstrap grid runs as one core.PhaseSample task batch
+// on the shared pool of Options.Pool/Client, or on a private pool of
+// Options.Workers workers when Workers > 1; otherwise evaluation is
+// sequential on the calling goroutine. No σ evaluation runs on a free
 // goroutine. Characterize must not be called from a pool worker.
 package sampling
 
@@ -44,12 +45,12 @@ type Options struct {
 	RelResolution float64
 	// Threshold is the passivity threshold on σ_max. Default 1.
 	Threshold float64
-	// Workers parallelizes the σ evaluations with private goroutines when
-	// no Pool is given. Default 1.
+	// Workers parallelizes the bootstrap-grid σ evaluations on a private
+	// pool of that many workers when no Pool or Client is given. Default 1.
 	Workers int
 	// Pool routes the bootstrap-grid σ evaluations through a shared
-	// worker pool as one PhaseSample task batch instead of private
-	// goroutines, so a fleet machine stays full during sampling sweeps.
+	// worker pool as one PhaseSample task batch instead of a private
+	// pool, so a fleet machine stays full during sampling sweeps.
 	// The adaptive refinement stays on the calling goroutine (each
 	// subdivision depends on the previous σ values); the per-ω cache and
 	// results are identical either way.
@@ -168,21 +169,25 @@ func CharacterizeContext(ctx context.Context, m *statespace.Model, opts Options)
 		}
 	}
 
-	// Parallel pre-evaluation of the bootstrap grid: one pool task per ω
-	// when a shared pool is wired up, private goroutines otherwise. Either
-	// way the per-ω single-flight cache makes the evaluation set — and the
-	// Evaluations counter — identical to a serial sweep.
-	switch {
-	case opts.Pool != nil || opts.Client != nil:
-		client := opts.Client
-		if client != nil && opts.Pool != nil && client.Pool() != opts.Pool {
-			// Mirror core.Pool.Submit: a client of another pool must not
-			// silently reroute the sweep.
-			return nil, errors.New("sampling: Options.Client is registered with a different pool")
-		}
-		if client == nil {
-			client = opts.Pool.NewClient(core.ClientOptions{})
-		}
+	// Parallel pre-evaluation of the bootstrap grid: one pool task per ω on
+	// the caller's pool, or on a private pool of Workers workers when none
+	// is given. The per-ω single-flight cache makes the evaluation set — and
+	// the Evaluations counter — identical to a serial sweep.
+	client := opts.Client
+	if client != nil && opts.Pool != nil && client.Pool() != opts.Pool {
+		// Mirror core.Pool.Submit: a client of another pool must not
+		// silently reroute the sweep.
+		return nil, errors.New("sampling: Options.Client is registered with a different pool")
+	}
+	if client == nil && opts.Pool == nil && opts.Workers > 1 {
+		private := core.NewPool(opts.Workers)
+		defer private.Close()
+		opts.Pool = private
+	}
+	if client == nil && opts.Pool != nil {
+		client = opts.Pool.NewClient(core.ClientOptions{})
+	}
+	if client != nil {
 		fns := make([]func(int) error, len(pts))
 		for i, w := range pts {
 			fns[i] = func(int) error {
@@ -191,36 +196,6 @@ func CharacterizeContext(ctx context.Context, m *statespace.Model, opts Options)
 			}
 		}
 		if err := client.RunBatch(ctx, core.PhaseSample, fns); err != nil {
-			return nil, err
-		}
-	case opts.Workers > 1:
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opts.Workers)
-		var firstErr error
-		var errMu sync.Mutex
-		for _, w := range pts {
-			if ctx.Err() != nil {
-				break
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(w float64) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if _, err := s.sigma(w); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}(w)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}

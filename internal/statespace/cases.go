@@ -45,8 +45,8 @@ func TableICases() []CaseSpec {
 // representative subset of the Table-I cases: same order, port count, and
 // calibrated peak, but generated with the shared-pole symmetric-residue
 // structure of a reciprocal device. These are the inputs on which the
-// half-size Hamiltonian path engages; cmd/fleetbench runs its half-path
-// A/B on them. IDs are offset by 100 to keep model caches distinct.
+// half-size Hamiltonian path engages. IDs are offset by 100 to keep model
+// caches distinct.
 func ReciprocalTableICases() []CaseSpec {
 	var out []CaseSpec
 	for _, c := range TableICases() {

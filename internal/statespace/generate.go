@@ -331,10 +331,17 @@ func calibratePeak(m *Model, opts GenOptions) error {
 		return errors.New("statespace: degenerate model with zero response")
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].sdyn > pts[j].sdyn })
+	// peak returns the running σ_max over the grid, or any value ≥
+	// TargetPeak as soon as one is seen: best only rises, and every caller
+	// below tests only peak(x) < TargetPeak, so the early exit changes no
+	// bisection decision and the generated model keeps its bits.
 	peak := func(scale float64) float64 {
 		best := 0.0
 		g := complex(scale, 0)
 		for _, p := range pts {
+			if best >= opts.TargetPeak {
+				break
+			}
 			if dNorm+scale*p.sdyn <= best {
 				break // sorted: no later point can beat the running peak
 			}

@@ -437,7 +437,8 @@ const (
 )
 
 // PhaseStat aggregates pool-worker tasks and busy time for one compute
-// phase (see Fleet.PhaseStats and cmd/fleetbench's utilization report).
+// phase (see Fleet.PhaseStats and cmd/benchtable's fleet-leg utilization
+// report).
 type PhaseStat = core.PhaseStat
 
 // ErrFleetQueueFull is returned by Submit on a FailFast fleet engine whose
