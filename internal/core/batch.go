@@ -53,32 +53,10 @@ func (b *batch) finishOne() {
 // index-assigned slots produces bit-identical results under any worker
 // count or pool load.
 //
-// Backpressure: a client created with ClientOptions.MaxQueuedTasks > 0
-// enqueues large batches in chunks of that size — each chunk drains before
-// the next is queued, bounding this client's pool-queue footprint. The
-// first failing chunk returns its error without enqueueing the rest.
-//
 // RunBatch must not be called from a pool worker goroutine (the join
 // could then deadlock a fully-busy pool); the solver phases call it from
 // job coordinator goroutines only.
 func (c *Client) RunBatch(ctx context.Context, phase string, fns []func(worker int) error) error {
-	if limit := c.maxQueued; limit > 0 && len(fns) > limit {
-		for start := 0; start < len(fns); start += limit {
-			end := start + limit
-			if end > len(fns) {
-				end = len(fns)
-			}
-			if err := c.runBatchChunk(ctx, phase, fns[start:end]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return c.runBatchChunk(ctx, phase, fns)
-}
-
-// runBatchChunk enqueues one batch of tasks whole and joins it.
-func (c *Client) runBatchChunk(ctx context.Context, phase string, fns []func(worker int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -96,10 +96,9 @@ type task struct {
 // Clients hold no resources and need no teardown; all fields below mu are
 // guarded by the owning pool's mutex.
 type Client struct {
-	pool      *Pool
-	pri       PriorityClass
-	weight    int
-	maxQueued int // RunBatch enqueue window, 0 = unbounded
+	pool   *Pool
+	pri    PriorityClass
+	weight int
 
 	queue  []*task       // this client's pending tasks, FIFO
 	credit int           // WRR pops left before the client rotates to the back
@@ -115,15 +114,6 @@ type ClientOptions struct {
 	// of the same class: a weight-2 client gets two task pops per round
 	// for every one of a weight-1 client. Minimum (and default) 1.
 	Weight int
-	// MaxQueuedTasks bounds how many tasks of one RunBatch call sit in the
-	// client's queue at a time: larger batches are enqueued in chunks of
-	// this size, each chunk joining before the next is queued. A
-	// pathological fan-out (a 10⁵-band report's probe batch) then costs
-	// O(MaxQueuedTasks) pool-queue memory instead of O(batch). 0 (the
-	// default) enqueues every batch whole — the historical behavior.
-	// Chunking is invisible to results: tasks still write only their own
-	// index-assigned slots, and per-client FIFO order is preserved.
-	MaxQueuedTasks int
 }
 
 // NewClient registers a scheduling identity with the pool.
@@ -134,10 +124,7 @@ func (p *Pool) NewClient(o ClientOptions) *Client {
 	if o.Priority < 0 || o.Priority >= numPriorityClasses {
 		o.Priority = PriorityBatch
 	}
-	if o.MaxQueuedTasks < 0 {
-		o.MaxQueuedTasks = 0
-	}
-	return &Client{pool: p, pri: o.Priority, weight: o.Weight, maxQueued: o.MaxQueuedTasks}
+	return &Client{pool: p, pri: o.Priority, weight: o.Weight}
 }
 
 // Pool returns the pool the client is registered with.

@@ -23,16 +23,9 @@ func SolveSerialBisection(op *hamiltonian.Op, opts Options) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
 
-	omegaMax := opts.OmegaMax
-	if omegaMax == 0 {
-		est, err := EstimateOmegaMax(op, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		omegaMax = est
-	}
-	if omegaMax <= opts.OmegaMin {
-		return nil, fmt.Errorf("core: empty band [%g, %g]", opts.OmegaMin, omegaMax)
+	omegaMax, err := baselineOmegaMax(op, opts)
+	if err != nil {
+		return nil, err
 	}
 	res.OmegaMax = omegaMax
 

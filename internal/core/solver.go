@@ -34,6 +34,24 @@ func EstimateOmegaMax(op *hamiltonian.Op, seed int64) (float64, error) {
 	return 1.02 * cmplx.Abs(v), nil
 }
 
+// baselineOmegaMax returns the top of the baselines' search band:
+// opts.OmegaMax, or the estimate on the calling goroutine when it is 0. It
+// rejects a band that is empty above opts.OmegaMin.
+func baselineOmegaMax(op *hamiltonian.Op, opts Options) (float64, error) {
+	omegaMax := opts.OmegaMax
+	if omegaMax == 0 {
+		est, err := EstimateOmegaMax(op, opts.Seed)
+		if err != nil {
+			return 0, err
+		}
+		omegaMax = est
+	}
+	if omegaMax <= opts.OmegaMin {
+		return 0, fmt.Errorf("core: empty band [%g, %g]", opts.OmegaMin, omegaMax)
+	}
+	return omegaMax, nil
+}
+
 // runShift executes one single-shift iteration S(jω, ρ₀) on a freshly
 // factored shift-invert operator. When a shift collides with an eigenvalue
 // (a crossing sits exactly at ω), ω is nudged by a tiny relative offset

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/hamiltonian"
 	"repro/internal/mat"
 	"repro/internal/statespace"
 )
@@ -25,29 +24,20 @@ type EnforceOptions struct {
 	// peak enter the constraint set. Default 4.
 	MaxSigmaPerBand int
 	// Checkpoint, when non-nil, receives one durable-resume snapshot after
-	// every completed enforcement iteration (characterize → perturb →
-	// carry): the full perturbed residue state plus the loop's carried
-	// bookkeeping (see EnforceCheckpoint). The callback runs on the
-	// coordinator goroutine between iterations, never concurrently, and is
-	// observational — it carries copies and cannot perturb the run.
+	// every completed enforcement iteration (characterize → perturb): the
+	// full perturbed residue state plus the loop's bookkeeping (see
+	// EnforceCheckpoint). The callback runs on the coordinator goroutine
+	// between iterations, never concurrently, and is observational — it
+	// carries copies and cannot perturb the run.
 	Checkpoint func(EnforceCheckpoint)
 	// Resume, when non-nil, restarts the enforcement loop from a persisted
 	// checkpoint: the residue matrices are restored bit-exactly onto a
 	// fresh clone of the input model and the loop continues at the
-	// checkpoint's iteration with the carried ω_max bound the uninterrupted
-	// run would have used. Every re-characterization is a cold solve of
-	// the current residues, so the remaining iterations characterize
-	// bit-identically. Enforcement resume is iteration-granular: work
-	// inside an interrupted iteration is re-run.
+	// checkpoint's iteration. Every re-characterization is a cold solve of
+	// the current residues, ω_max estimate included, so the remaining
+	// iterations characterize bit-identically. Enforcement resume is
+	// iteration-granular: work inside an interrupted iteration is re-run.
 	Resume *EnforceCheckpoint
-
-	// reestimateOmegaMax, set only by in-package tests, turns off the ω_max
-	// carry. Unless Char.Core.OmegaMax is set, every re-characterization
-	// reuses the previous iteration's certified ω_max inflated by the
-	// relative perturbation norm (see carryOmegaMax) instead of re-running
-	// the estimation Arnoldi; one confirming estimate still runs before
-	// passivity is certified on a carried bound (see EnforceContext).
-	reestimateOmegaMax bool
 }
 
 func (o *EnforceOptions) setDefaults() {
@@ -105,11 +95,6 @@ type EnforceCheckpoint struct {
 	Iter int
 	// Cumulative is the accumulated ‖δC‖_F over the completed iterations.
 	Cumulative float64
-	// CarriedOmegaMax is the carried spectral-radius bound for iteration
-	// Iter (meaningful when Carried is set; see carryOmegaMax).
-	CarriedOmegaMax float64
-	// Carried records whether the ω_max carry was active.
-	Carried bool
 	// InitialWorst is the worst σ_max before enforcement (captured at
 	// iteration 0).
 	InitialWorst float64
@@ -124,16 +109,13 @@ type EnforceCheckpoint struct {
 }
 
 // snapshotEnforce captures the loop state after one completed iteration.
-func snapshotEnforce(iter int, cumulative, carriedOmegaMax float64, carried bool,
-	rep *EnforceReport, work *statespace.Model) EnforceCheckpoint {
+func snapshotEnforce(iter int, cumulative float64, rep *EnforceReport, work *statespace.Model) EnforceCheckpoint {
 	ck := EnforceCheckpoint{
-		Iter:            iter,
-		Cumulative:      cumulative,
-		CarriedOmegaMax: carriedOmegaMax,
-		Carried:         carried,
-		InitialWorst:    rep.InitialWorst,
-		SolverTotals:    rep.SolverTotals,
-		Residues:        make([][]float64, len(work.Cols)),
+		Iter:         iter,
+		Cumulative:   cumulative,
+		InitialWorst: rep.InitialWorst,
+		SolverTotals: rep.SolverTotals,
+		Residues:     make([][]float64, len(work.Cols)),
 	}
 	for k := range work.Cols {
 		ck.Residues[k] = append([]float64(nil), work.Cols[k].C.Data...)
@@ -207,7 +189,6 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 	// σ probes, and constraint assembly of every iteration are tasks of
 	// the same scheduling identity (a fleet engine passes its own).
 	defer ensurePoolClient(&charOpts.Core)()
-	carried := false
 	var lastChr *Report
 	iterStart := 0
 	if r := opts.Resume; r != nil {
@@ -221,10 +202,6 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 		cumulative = r.Cumulative
 		rep.InitialWorst = r.InitialWorst
 		rep.SolverTotals = r.SolverTotals
-		if r.Carried {
-			charOpts.Core.OmegaMax = r.CarriedOmegaMax
-			carried = true
-		}
 	}
 	if iterStart >= opts.MaxIters {
 		// The budget was already exhausted when the run was interrupted —
@@ -257,27 +234,6 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 		if iter == 0 {
 			rep.InitialWorst = chr.WorstViolation()
 		}
-		if chr.Passive && carried {
-			// The carried bound is a heuristic: before certifying the
-			// perturbed model as passive on its strength, confirm it with
-			// ONE fresh spectral-radius estimate (the cost the carry saved
-			// on every non-final iteration). If the true radius escaped
-			// the carried bound, re-characterize over the full band — a
-			// crossing could be hiding just above it.
-			est, err := freshOmegaMax(ctx, charOpts.Core.Client, work, charOpts.Core.Seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			if est > charOpts.Core.OmegaMax {
-				charOpts.Core.OmegaMax = est
-				chr, err = CharacterizeContext(ctx, work, charOpts)
-				if err != nil {
-					return nil, nil, err
-				}
-				lastChr = chr
-				rep.SolverTotals.Add(chr.Solver)
-			}
-		}
 		if chr.Passive {
 			rep.Iterations = iter
 			rep.FinalWorst = chr.WorstViolation()
@@ -290,14 +246,8 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 			return nil, nil, err
 		}
 		cumulative += step
-		if opts.Char.Core.OmegaMax == 0 && !opts.reestimateOmegaMax {
-			// Carry the certified ω_max into the next iteration instead of
-			// re-running the estimation Arnoldi.
-			charOpts.Core.OmegaMax = carryOmegaMax(chr.OmegaMax, step, baseNorm)
-			carried = true
-		}
 		if opts.Checkpoint != nil {
-			opts.Checkpoint(snapshotEnforce(iter+1, cumulative, charOpts.Core.OmegaMax, carried, rep, work))
+			opts.Checkpoint(snapshotEnforce(iter+1, cumulative, rep, work))
 		}
 	}
 	rep.Iterations = opts.MaxIters
@@ -306,50 +256,6 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 	rep.FinalReport = lastChr
 	return work, rep, fmt.Errorf("%w (worst σ still %g after %d iterations)",
 		ErrEnforcementFailed, rep.FinalWorst, opts.MaxIters)
-}
-
-// freshOmegaMax re-runs the spectral-radius estimation Arnoldi on the
-// (perturbed) model — used once per enforcement run to confirm a carried
-// bound before it certifies passivity. Like Submit's startup estimate, it
-// runs as a PhaseEig task of the run's client so the sweep obeys the
-// shared pool's scheduling policy instead of running on the coordinator
-// goroutine.
-func freshOmegaMax(ctx context.Context, client *core.Client, m *statespace.Model, seed int64) (float64, error) {
-	op, err := hamiltonian.New(m, hamiltonian.Scattering)
-	if err != nil {
-		return 0, err
-	}
-	if seed == 0 {
-		seed = 1 // mirror core.Options.setDefaults so the estimate matches Submit's
-	}
-	var est float64
-	err = client.RunBatch(ctx, core.PhaseEig, []func(int) error{func(int) error {
-		e, err := core.EstimateOmegaMax(op, seed)
-		if err != nil {
-			return err
-		}
-		est = e
-		return nil
-	}})
-	return est, err
-}
-
-// carryOmegaMax inflates a certified spectral-radius bound so it stays a
-// bound after a residue perturbation of Frobenius norm step: eigenvalue
-// motion under the rank-limited δC update is proportional to the relative
-// residue change, so the bound grows by twice that ratio (safety factor)
-// plus a small absolute floor covering the non-normal tail. The previous
-// bound already carries the estimator's own 1.02 margin, and enforcement
-// only shrinks violations inward. Because the eigenvalues of the
-// non-normal Hamiltonian can in principle outrun any residue-norm bound,
-// the carry is a heuristic — which is why EnforceContext confirms it with
-// one fresh estimate before certifying passivity on its strength.
-func carryOmegaMax(prev, step, baseNorm float64) float64 {
-	rel := 0.0
-	if baseNorm > 0 {
-		rel = step / baseNorm
-	}
-	return prev * (1 + 2*rel + 1e-3)
 }
 
 // perturbationStep builds and applies one least-norm residue update.

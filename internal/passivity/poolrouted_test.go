@@ -108,50 +108,3 @@ func TestEnforceConstraintsRunAsPoolTasks(t *testing.T) {
 		t.Fatal("no PhaseConstraint tasks executed on the pool")
 	}
 }
-
-// TestEnforceOmegaMaxWarmStart: the carried spectral-radius bound must
-// not change the enforcement outcome vs re-estimating every iteration —
-// same iteration count, same passivity verdict, same final model within
-// round-off — while the carried run provably skips the per-iteration
-// estimation (its iteration-1+ OmegaMax values come from carryOmegaMax).
-func TestEnforceOmegaMaxWarmStart(t *testing.T) {
-	mk := func(reestimate bool) (*EnforceReport, []float64) {
-		m := genModel(t, 146, 22, 1.06)
-		_, rep, err := Enforce(m, EnforceOptions{Char: charOpts(), reestimateOmegaMax: reestimate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, nil
-	}
-	carried, _ := mk(false)
-	fresh, _ := mk(true)
-	if carried.Iterations != fresh.Iterations {
-		t.Fatalf("carried bound changed the iteration count: %d vs %d",
-			carried.Iterations, fresh.Iterations)
-	}
-	if !carried.FinalReport.Passive || !fresh.FinalReport.Passive {
-		t.Fatal("enforcement did not reach passivity")
-	}
-	// Outcomes must agree physically; bit-identity is not required here
-	// because the search bound (and hence the polish grid) differs.
-	if math.Abs(carried.FinalWorst-fresh.FinalWorst) > 1e-6 {
-		t.Fatalf("final worst σ diverged: carried %v, fresh %v",
-			carried.FinalWorst, fresh.FinalWorst)
-	}
-}
-
-// TestCarryOmegaMaxInflates: the carried bound must strictly grow with
-// the perturbation and never shrink below the previous bound.
-func TestCarryOmegaMaxInflates(t *testing.T) {
-	if got := carryOmegaMax(100, 0, 1); got <= 100 {
-		t.Fatalf("zero-step carry %v must still add the absolute floor", got)
-	}
-	small := carryOmegaMax(100, 1e-3, 1)
-	large := carryOmegaMax(100, 1e-1, 1)
-	if !(large > small && small > 100) {
-		t.Fatalf("carry not monotone in the step norm: %v vs %v", small, large)
-	}
-	if got := carryOmegaMax(100, 1, 0); got < 100 {
-		t.Fatalf("zero base norm must not shrink the bound: %v", got)
-	}
-}

@@ -19,7 +19,7 @@ func TestSamplingPoolRoutedMatchesLocal(t *testing.T) {
 
 	p := core.NewPool(4)
 	defer p.Close()
-	pooled, err := Characterize(m, Options{Pool: p})
+	pooled, err := Characterize(m, Options{Client: p.NewClient(core.ClientOptions{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,18 +39,5 @@ func TestSamplingPoolRoutedMatchesLocal(t *testing.T) {
 	// The grid points must have been executed as pool tasks.
 	if st := p.PhaseStats()[core.PhaseSample]; st.Tasks == 0 {
 		t.Fatal("no PhaseSample tasks executed on the pool")
-	}
-}
-
-// TestSamplingRejectsForeignClient: a Client of another pool alongside an
-// explicit Pool must error, not silently reroute the sweep.
-func TestSamplingRejectsForeignClient(t *testing.T) {
-	m := genModel(t, 78, 12, 1.0)
-	a := core.NewPool(1)
-	defer a.Close()
-	b := core.NewPool(1)
-	defer b.Close()
-	if _, err := Characterize(m, Options{Pool: a, Client: b.NewClient(core.ClientOptions{})}); err == nil {
-		t.Fatal("foreign client accepted")
 	}
 }

@@ -13,7 +13,7 @@
 // therefore of the worker count.
 //
 // Concurrency: the bootstrap grid runs as one core.PhaseSample task batch
-// on the shared pool of Options.Pool/Client, or on a private pool of
+// under Options.Client on its shared pool, or on a private pool of
 // Options.Workers workers when Workers > 1; otherwise evaluation is
 // sequential on the calling goroutine. No σ evaluation runs on a free
 // goroutine. Characterize must not be called from a pool worker.
@@ -46,18 +46,15 @@ type Options struct {
 	// Threshold is the passivity threshold on σ_max. Default 1.
 	Threshold float64
 	// Workers parallelizes the bootstrap-grid σ evaluations on a private
-	// pool of that many workers when no Pool or Client is given. Default 1.
+	// pool of that many workers when Client is nil. Default 1.
 	Workers int
-	// Pool routes the bootstrap-grid σ evaluations through a shared
-	// worker pool as one PhaseSample task batch instead of a private
-	// pool, so a fleet machine stays full during sampling sweeps.
+	// Client routes the bootstrap-grid σ evaluations through its shared
+	// worker pool as one PhaseSample task batch under this scheduling
+	// identity, so a fleet machine stays full during sampling sweeps.
 	// The adaptive refinement stays on the calling goroutine (each
 	// subdivision depends on the previous σ values); the per-ω cache and
-	// results are identical either way.
-	Pool *core.Pool
-	// Client optionally pins the pool scheduling identity (priority +
-	// fairness weight) the sweep's tasks are charged to; an ephemeral
-	// default-priority client of Pool is used when nil.
+	// results are identical either way. Workers is ignored when Client
+	// is set.
 	Client *core.Client
 }
 
@@ -169,23 +166,16 @@ func CharacterizeContext(ctx context.Context, m *statespace.Model, opts Options)
 		}
 	}
 
-	// Parallel pre-evaluation of the bootstrap grid: one pool task per ω on
-	// the caller's pool, or on a private pool of Workers workers when none
-	// is given. The per-ω single-flight cache makes the evaluation set — and
-	// the Evaluations counter — identical to a serial sweep.
+	// Parallel pre-evaluation of the bootstrap grid: one pool task per ω
+	// under the caller's client, or on a private pool of Workers workers
+	// when none is given. The per-ω single-flight cache makes the
+	// evaluation set — and the Evaluations counter — identical to a serial
+	// sweep.
 	client := opts.Client
-	if client != nil && opts.Pool != nil && client.Pool() != opts.Pool {
-		// Mirror core.Pool.Submit: a client of another pool must not
-		// silently reroute the sweep.
-		return nil, errors.New("sampling: Options.Client is registered with a different pool")
-	}
-	if client == nil && opts.Pool == nil && opts.Workers > 1 {
+	if client == nil && opts.Workers > 1 {
 		private := core.NewPool(opts.Workers)
 		defer private.Close()
-		opts.Pool = private
-	}
-	if client == nil && opts.Pool != nil {
-		client = opts.Pool.NewClient(core.ClientOptions{})
+		client = private.NewClient(core.ClientOptions{})
 	}
 	if client != nil {
 		fns := make([]func(int) error, len(pts))

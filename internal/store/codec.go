@@ -369,8 +369,10 @@ func decodeShift(d *dec) core.ShiftCheckpoint {
 func encodeEnforceCheckpoint(e *enc, ck *passivity.EnforceCheckpoint) {
 	e.varint(int64(ck.Iter))
 	e.f64(ck.Cumulative)
-	e.f64(ck.CarriedOmegaMax)
-	e.bool(ck.Carried)
+	// Retired ω_max carry slot (bound, active flag): always written as
+	// 0/false so the record keeps the byte layout of existing logs.
+	e.f64(0)
+	e.bool(false)
 	e.f64(ck.InitialWorst)
 	e.varint(int64(ck.SolverTotals.ShiftsProcessed))
 	e.varint(int64(ck.SolverTotals.TentativeDeleted))
@@ -388,12 +390,14 @@ func encodeEnforceCheckpoint(e *enc, ck *passivity.EnforceCheckpoint) {
 
 func decodeEnforceCheckpoint(d *dec) passivity.EnforceCheckpoint {
 	ck := passivity.EnforceCheckpoint{
-		Iter:            int(d.varint()),
-		Cumulative:      d.f64(),
-		CarriedOmegaMax: d.f64(),
-		Carried:         d.bool(),
-		InitialWorst:    d.f64(),
+		Iter:       int(d.varint()),
+		Cumulative: d.f64(),
 	}
+	// Logs written while enforcement carried ω_max across iterations hold
+	// the carried bound and its flag here; every re-characterization now
+	// estimates ω_max afresh, so nothing reads them.
+	_, _ = d.f64(), d.bool()
+	ck.InitialWorst = d.f64()
 	ck.SolverTotals = core.Stats{
 		ShiftsProcessed:  int(d.varint()),
 		TentativeDeleted: int(d.varint()),

@@ -87,13 +87,11 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	eck := passivity.EnforceCheckpoint{
-		Iter:            2,
-		Cumulative:      0.125,
-		CarriedOmegaMax: 11.5,
-		Carried:         true,
-		InitialWorst:    1.25,
-		SolverTotals:    core.Stats{ShiftsProcessed: 7, Restarts: 12, OpApplies: 900, Elapsed: 1234},
-		Residues:        [][]float64{{math.Pi, -math.Sqrt2}},
+		Iter:         2,
+		Cumulative:   0.125,
+		InitialWorst: 1.25,
+		SolverTotals: core.Stats{ShiftsProcessed: 7, Restarts: 12, OpApplies: 900, Elapsed: 1234},
+		Residues:     [][]float64{{math.Pi, -math.Sqrt2}},
 	}
 	if err := s.AppendEnforceCheckpoint("job-1", eck); err != nil {
 		t.Fatal(err)
@@ -151,58 +149,97 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreReadsWarmSeedEnforceRecord: logs written while enforcement
-// still warm-started carry non-empty crossing seeds in the enforce
-// checkpoint's seed slot. Such a record must still replay, with the seeds
-// discarded and every other field intact.
-func TestStoreReadsWarmSeedEnforceRecord(t *testing.T) {
+// legacyEnforceCheckpoint is the enforce checkpoint that legacyEnforceRecord
+// encodes, as the current decoder must replay it.
+var legacyEnforceCheckpoint = passivity.EnforceCheckpoint{
+	Iter:         3,
+	Cumulative:   0.125,
+	InitialWorst: 1.25,
+	SolverTotals: core.Stats{ShiftsProcessed: 7, TentativeDeleted: 2, Restarts: 12, OpApplies: 900, Elapsed: 1234},
+	Residues:     [][]float64{{math.Pi, -math.Sqrt2}},
+}
+
+// legacyEnforceRecord hand-encodes legacyEnforceCheckpoint for job-1 in the
+// enforce-record layout, with the given values in the retired ω_max carry
+// slot and warm-start seed slot.
+func legacyEnforceRecord(carriedOmegaMax float64, carried bool, seeds []float64) []byte {
+	ck := legacyEnforceCheckpoint
+	var e enc
+	e.u8(recEnforceCheckpoint)
+	e.str("job-1")
+	e.varint(int64(ck.Iter))
+	e.f64(ck.Cumulative)
+	e.f64(carriedOmegaMax)
+	e.bool(carried)
+	e.f64(ck.InitialWorst)
+	e.varint(int64(ck.SolverTotals.ShiftsProcessed))
+	e.varint(int64(ck.SolverTotals.TentativeDeleted))
+	e.varint(int64(ck.SolverTotals.Restarts))
+	e.varint(int64(ck.SolverTotals.OpApplies))
+	e.varint(int64(ck.SolverTotals.Elapsed))
+	e.f64s(seeds)
+	e.uvarint(uint64(len(ck.Residues)))
+	for _, r := range ck.Residues {
+		e.f64s(r)
+	}
+	return e.buf
+}
+
+// replayEnforceRecord appends job-1's start and the raw enforce record rec
+// to a fresh log, reopens it, and returns the replayed enforce checkpoint.
+func replayEnforceRecord(t *testing.T, rec []byte) *passivity.EnforceCheckpoint {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "jobs.log")
 	s := openPath(t, path)
 	if err := s.AppendJobStart("job-1", []byte(`{}`), testModel()); err != nil {
 		t.Fatal(err)
 	}
-	totals := core.Stats{ShiftsProcessed: 7, TentativeDeleted: 2, Restarts: 12, OpApplies: 900, Elapsed: 1234}
-	residues := [][]float64{{math.Pi, -math.Sqrt2}}
-	var e enc
-	e.u8(recEnforceCheckpoint)
-	e.str("job-1")
-	e.varint(3)  // Iter
-	e.f64(0.125) // Cumulative
-	e.f64(11.5)  // CarriedOmegaMax
-	e.bool(true) // Carried
-	e.f64(1.25)  // InitialWorst
-	e.varint(int64(totals.ShiftsProcessed))
-	e.varint(int64(totals.TentativeDeleted))
-	e.varint(int64(totals.Restarts))
-	e.varint(int64(totals.OpApplies))
-	e.varint(int64(totals.Elapsed))
-	e.f64s([]float64{1.5, 2.25, 3.125}) // warm-start seeds
-	e.uvarint(uint64(len(residues)))
-	for _, r := range residues {
-		e.f64s(r)
-	}
-	if err := s.append(e.buf); err != nil {
+	if err := s.append(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	s2 := openPath(t, path)
 	defer s2.Close()
 	jobs := s2.Recovered()
 	if len(jobs) != 1 || jobs[0].Enforce == nil {
 		t.Fatalf("want job-1 with an enforce checkpoint, got %+v", jobs)
 	}
-	ck := jobs[0].Enforce
-	if ck.Iter != 3 || ck.Cumulative != 0.125 || ck.CarriedOmegaMax != 11.5 || !ck.Carried || ck.InitialWorst != 1.25 {
-		t.Fatalf("scalar fields: %+v", ck)
+	return jobs[0].Enforce
+}
+
+// TestStoreReadsWarmSeedEnforceRecord: logs written while enforcement
+// still warm-started carry non-empty crossing seeds in the enforce
+// checkpoint's seed slot. Such a record must still replay, with the seeds
+// discarded and every other field intact.
+func TestStoreReadsWarmSeedEnforceRecord(t *testing.T) {
+	ck := replayEnforceRecord(t, legacyEnforceRecord(11.5, true, []float64{1.5, 2.25, 3.125}))
+	if !reflect.DeepEqual(ck, &legacyEnforceCheckpoint) {
+		t.Fatalf("enforce checkpoint:\n got %+v\nwant %+v", ck, &legacyEnforceCheckpoint)
 	}
-	if ck.SolverTotals != totals {
-		t.Fatalf("solver totals: got %+v, want %+v", ck.SolverTotals, totals)
+}
+
+// TestStoreReadsOmegaMaxCarryEnforceRecord: logs written while
+// enforcement carried ω_max across iterations hold a bound and an active
+// flag in the enforce checkpoint's carry slot. Such a record must still
+// replay, with the slot discarded and every other field intact; the
+// current encoder writes the same layout with the slot zeroed, and its
+// records round-trip.
+func TestStoreReadsOmegaMaxCarryEnforceRecord(t *testing.T) {
+	ck := replayEnforceRecord(t, legacyEnforceRecord(11.5, true, nil))
+	if !reflect.DeepEqual(ck, &legacyEnforceCheckpoint) {
+		t.Fatalf("enforce checkpoint:\n got %+v\nwant %+v", ck, &legacyEnforceCheckpoint)
 	}
-	if !reflect.DeepEqual(ck.Residues, residues) {
-		t.Fatalf("residues: got %v, want %v", ck.Residues, residues)
+	var e enc
+	e.u8(recEnforceCheckpoint)
+	e.str("job-1")
+	encodeEnforceCheckpoint(&e, ck)
+	if want := legacyEnforceRecord(0, false, nil); !bytes.Equal(e.buf, want) {
+		t.Fatalf("encoded record changed layout:\n got %x\nwant %x", e.buf, want)
+	}
+	if got := replayEnforceRecord(t, e.buf); !reflect.DeepEqual(got, ck) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, ck)
 	}
 }
 
