@@ -1,11 +1,9 @@
 // Command repolint runs the repository's compile-time invariant suite —
-// the analyzers under internal/analysis — over module packages. It is
-// both a standalone linter and a `go vet` tool:
+// the analyzers under internal/analysis — over module packages:
 //
-//	go run ./cmd/repolint ./...                  # standalone, whole module
+//	go run ./cmd/repolint ./...                  # whole module
 //	go run ./cmd/repolint ./internal/core        # one package
 //	go run ./cmd/repolint -list                  # describe the analyzers
-//	go vet -vettool=$(which repolint) ./...      # vet-tool mode
 //
 // Findings print one per line as file:line:col: analyzer: message, and
 // any finding makes the exit status non-zero, so CI can gate on it.
@@ -39,29 +37,11 @@ func suite() []*analysis.Analyzer {
 	return as
 }
 
-func main() {
-	args := os.Args[1:]
-	// go vet's tool protocol: version probe, flag discovery, then a
-	// .cfg file describing one package.
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" {
-			printVersion()
-			return
-		}
-	}
-	if len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags") {
-		fmt.Println("[]")
-		return
-	}
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		os.Exit(vetMode(args[n-1]))
-	}
-	os.Exit(standalone(args))
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
-// standalone lints the given package patterns (default ./...) against
-// the enclosing module. Returns the process exit code.
-func standalone(args []string) int {
+// run lints the given package patterns (default ./...) against the
+// enclosing module. Returns the process exit code.
+func run(args []string) int {
 	patterns := []string{"./..."}
 	if len(args) > 0 {
 		if args[0] == "-list" || args[0] == "--list" {

@@ -7,8 +7,8 @@
 // runtime test batteries can only probe dynamically — determinism of the
 // bit-identity packages (detfloat), the context-threading cancellation
 // contract (ctxflow), scheduler task hygiene (pooltask), and the
-// documentation gate (doccheck). cmd/repolint runs them all, standalone or as a
-// `go vet -vettool`.
+// documentation gate (doccheck). cmd/repolint runs them all over module
+// packages.
 //
 // The framework is deliberately dependency-free: the build environment
 // has no module proxy access, so the x/tools analysis machinery is

@@ -79,18 +79,15 @@ func (c *Config) setDefaults() {
 // locked subspace and no Krylov direction remains.
 var ErrBreakdownEmpty = errors.New("arnoldi: start vector fully deflated")
 
-// scalar is the field a Krylov basis lives in: complex128 on the full 2n
-// path, float64 on the half-size reciprocal path (real.go).
-type scalar interface{ float64 | complex128 }
-
 // lane is what the factorization loop and the SingleShift driver need from
-// one scalar field. Everything else — MGS with selective
+// one scalar field: complex128 on the full 2n path, float64 on the
+// half-size reciprocal path (real.go). Everything else — MGS with selective
 // reorthogonalization, the breakdown test, the StopEarly check, Ritz
 // extraction and the whole certification logic — is written once over
 // it. complexLane and realLane are the two implementations; each method is
 // a whole-vector call, so the hot loop calls the same mat kernels as a loop
 // written out for one field.
-type lane[T scalar] interface {
+type lane[T mat.Scalar] interface {
 	dim() int
 	apply(y, x []T) error
 	// randomStart draws a deterministic random unit start vector.
@@ -124,7 +121,7 @@ type Factorization = factorization[complex128]
 // basis so Ritz extraction is shared), the next-vector coupling
 // hNext = h_{d+1,d}, and whether an invariant subspace was hit (lucky
 // breakdown: the Ritz values are then exact for the deflated operator).
-type factorization[T scalar] struct {
+type factorization[T mat.Scalar] struct {
 	Steps     int
 	V         [][]T
 	H         *mat.CDense
@@ -145,7 +142,7 @@ func Run(op Operator, start []complex128, locked [][]complex128, cfg Config) (*F
 }
 
 // run is Run over either lane.
-func run[T scalar](l lane[T], start []T, locked [][]T, cfg Config) (*factorization[T], error) {
+func run[T mat.Scalar](l lane[T], start []T, locked [][]T, cfg Config) (*factorization[T], error) {
 	cfg.setDefaults()
 	n := l.dim()
 	if len(start) != n {
@@ -242,7 +239,7 @@ func leading(h *mat.CDense, k int) *mat.CDense {
 }
 
 // nextBasis returns w/hn as a fresh basis vector.
-func nextBasis[T scalar](l lane[T], w []T, hn float64) []T {
+func nextBasis[T mat.Scalar](l lane[T], w []T, hn float64) []T {
 	next := make([]T, len(w))
 	copy(next, w)
 	l.scale(1/hn, next)

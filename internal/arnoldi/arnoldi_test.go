@@ -22,9 +22,10 @@ func (d denseOp) Apply(y, x []complex128) error {
 
 // denseShiftInv is a dense (A − θI)⁻¹ used as a reference ShiftInverter.
 type denseShiftInv struct {
-	f     *mat.CLU
-	theta complex128
-	n     int
+	f       *mat.CLU
+	theta   complex128
+	n       int
+	scratch []complex128
 }
 
 func newDenseShiftInv(t *testing.T, a *mat.CDense, theta complex128) *denseShiftInv {
@@ -37,13 +38,13 @@ func newDenseShiftInv(t *testing.T, a *mat.CDense, theta complex128) *denseShift
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &denseShiftInv{f: f, theta: theta, n: a.Rows}
+	return &denseShiftInv{f: f, theta: theta, n: a.Rows, scratch: make([]complex128, a.Rows)}
 }
 
 func (d *denseShiftInv) Dim() int          { return d.n }
 func (d *denseShiftInv) Theta() complex128 { return d.theta }
 func (d *denseShiftInv) Apply(y, x []complex128) error {
-	d.f.SolveInto(y, x)
+	d.f.SolveIntoScratch(y, x, d.scratch)
 	return nil
 }
 

@@ -3,6 +3,8 @@ package arnoldi
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/mat"
 )
 
 // BenchmarkSweep times one restart's worth of Arnoldi-layer work at the
@@ -28,7 +30,7 @@ func BenchmarkSweep(b *testing.B) {
 	})
 }
 
-func benchSweep[T scalar](b *testing.B, l lane[T], nLocked int) {
+func benchSweep[T mat.Scalar](b *testing.B, l lane[T], nLocked int) {
 	rng := rand.New(rand.NewSource(43))
 	// The locked set is the orthonormal basis of a short first sweep.
 	seed, err := run(l, l.randomStart(rng), nil, Config{MaxDim: nLocked, Rng: rng})
@@ -53,9 +55,9 @@ func benchSweep[T scalar](b *testing.B, l lane[T], nLocked int) {
 
 // bandOp is a tridiagonal operator y = lo·x₋₁ + d·x + up·x₊₁ over either
 // scalar field, with entries drawn from next.
-type bandOp[T scalar] struct{ lo, d, up []T }
+type bandOp[T mat.Scalar] struct{ lo, d, up []T }
 
-func newBandOp[T scalar](n int, next func() T) bandOp[T] {
+func newBandOp[T mat.Scalar](n int, next func() T) bandOp[T] {
 	op := bandOp[T]{lo: make([]T, n), d: make([]T, n), up: make([]T, n)}
 	for i := 0; i < n; i++ {
 		op.lo[i], op.d[i], op.up[i] = next(), next(), next()

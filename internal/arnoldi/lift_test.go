@@ -10,7 +10,7 @@ import (
 
 // eagerLift lifts every Ritz vector of f through its basis, the way Ritz
 // extraction did before vectors were lifted on demand.
-func eagerLift[T scalar](t *testing.T, f *factorization[T]) [][]complex128 {
+func eagerLift[T mat.Scalar](t *testing.T, f *factorization[T]) [][]complex128 {
 	t.Helper()
 	_, vecs, err := mat.CEig(f.H)
 	if err != nil {
@@ -27,7 +27,7 @@ func eagerLift[T scalar](t *testing.T, f *factorization[T]) [][]complex128 {
 	return out
 }
 
-func checkLazyLift[T scalar](t *testing.T, f *factorization[T]) {
+func checkLazyLift[T mat.Scalar](t *testing.T, f *factorization[T]) {
 	t.Helper()
 	want := eagerLift(t, f)
 	pairs, err := f.RitzPairs()
@@ -78,7 +78,7 @@ type restartWork struct {
 // countingLane wraps a lane and records, per restart (a restart begins
 // with its random start vector), the operator applies, the basis-vector
 // lift steps and the locked Ritz vectors.
-type countingLane[T scalar] struct {
+type countingLane[T mat.Scalar] struct {
 	lane[T]
 	work *[]restartWork
 }

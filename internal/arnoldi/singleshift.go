@@ -122,7 +122,7 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 // singleShift is the restart and certification driver shared by both
 // lanes: SingleShift and SingleShiftReal differ only in the lane, never in
 // the rules.
-func singleShift[T scalar](l lane[T], theta complex128, rho0 float64, params SingleShiftParams) (*SingleShiftResult, error) {
+func singleShift[T mat.Scalar](l lane[T], theta complex128, rho0 float64, params SingleShiftParams) (*SingleShiftResult, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}

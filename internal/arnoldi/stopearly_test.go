@@ -12,7 +12,7 @@ import (
 // projectedHs captures the projected Hessenberg matrices of one d = 60
 // sweep of l: the copies StopEarly receives at k = 10, 20, …, 50 and the
 // final H at k = 60.
-func projectedHs[T scalar](t *testing.T, l lane[T], rng *rand.Rand) []*mat.CDense {
+func projectedHs[T mat.Scalar](t *testing.T, l lane[T], rng *rand.Rand) []*mat.CDense {
 	t.Helper()
 	var hs []*mat.CDense
 	cfg := Config{MaxDim: 60, Rng: rng, CheckEvery: 10,

@@ -272,21 +272,3 @@ func TestGivensZeroesSecondEntry(t *testing.T) {
 		}
 	}
 }
-
-func TestCInverseIterationNilStartAndExactShift(t *testing.T) {
-	d := NewCDense(3, 3)
-	d.Set(0, 0, 1)
-	d.Set(1, 1, 5)
-	d.Set(2, 2, 9)
-	// Shift exactly at an eigenvalue: the internal perturbation must cope.
-	v, mu, err := CInverseIteration(d, 5, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(mu-5) > 1e-10 {
-		t.Fatalf("mu = %v", mu)
-	}
-	if cmplx.Abs(v[1]) < 0.99 {
-		t.Fatalf("eigenvector not concentrated: %v", v)
-	}
-}

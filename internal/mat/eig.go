@@ -344,59 +344,3 @@ func triangularEigvec(t *CDense, k int, small float64, y []complex128) {
 		y[i] = -s / d
 	}
 }
-
-// CInverseIteration refines an eigenvector of a for the approximate
-// eigenvalue lambda by a few shifted inverse-power steps. v0 is the start
-// vector (may be nil for a deterministic pseudo-random start). Returns the
-// unit-norm eigenvector and the Rayleigh-quotient refined eigenvalue.
-func CInverseIteration(a *CDense, lambda complex128, v0 []complex128, steps int) ([]complex128, complex128, error) {
-	n := a.Rows
-	if a.Cols != n {
-		panic(fmt.Sprintf("mat: inverse iteration on non-square %d×%d", n, a.Cols))
-	}
-	shifted := a.Clone()
-	// Perturb the shift slightly off the eigenvalue so the solve is stable.
-	scale := a.FrobNorm()
-	if scale == 0 {
-		scale = 1
-	}
-	pert := complex(1e-10*scale, 0)
-	for {
-		for i := 0; i < n; i++ {
-			shifted.Set(i, i, a.At(i, i)-lambda-pert)
-		}
-		f, err := CLUFactor(shifted)
-		if err == nil {
-			v := v0
-			if v == nil {
-				v = make([]complex128, n)
-				st := uint64(0x9e3779b97f4a7c15)
-				for i := range v {
-					st = st*6364136223846793005 + 1442695040888963407
-					v[i] = complex(float64(st>>40)/float64(1<<24)-0.5, float64(st>>33&0xffffff)/float64(1<<24)-0.5)
-				}
-			}
-			nrm := CNorm2(v)
-			if nrm == 0 {
-				return nil, 0, errors.New("mat: zero start vector")
-			}
-			CScaleVec(complex(1/nrm, 0), v)
-			for s := 0; s < steps; s++ {
-				v = f.Solve(v)
-				nrm = CNorm2(v)
-				if nrm == 0 || math.IsInf(nrm, 0) || math.IsNaN(nrm) {
-					break
-				}
-				CScaleVec(complex(1/nrm, 0), v)
-			}
-			av := a.MulVec(v)
-			mu := CDot(v, av)
-			return v, mu, nil
-		}
-		// Singular shift: widen the perturbation and retry.
-		pert *= 10
-		if cmplx.Abs(pert) > 1e-3*scale {
-			return nil, 0, ErrSingular
-		}
-	}
-}

@@ -211,30 +211,6 @@ func TestCEigVectorsResidual(t *testing.T) {
 	}
 }
 
-func TestCInverseIterationRefines(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	n := 10
-	a := randCDense(rng, n, n)
-	vals, err := CEigValues(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Perturb an eigenvalue and recover it by inverse iteration.
-	approx := vals[0] + complex(1e-4, -1e-4)
-	v, mu, err := CInverseIteration(a, approx, nil, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(mu-vals[0]) > 1e-8*(1+cmplx.Abs(vals[0])) {
-		t.Fatalf("refined eigenvalue %v, want %v", mu, vals[0])
-	}
-	av := a.MulVec(v)
-	CAxpy(-mu, v, av)
-	if res := CNorm2(av); res > 1e-8*(1+a.FrobNorm()) {
-		t.Fatalf("eigenvector residual %v", res)
-	}
-}
-
 func TestEigCompanionMatrixRoots(t *testing.T) {
 	// Companion matrix of z³ − 6z² + 11z − 6 has roots 1, 2, 3.
 	a := DenseFromSlice(3, 3, []float64{

@@ -3,39 +3,58 @@ package mat
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrSingular is returned when a factorization or solve encounters an
 // (numerically) singular matrix.
 var ErrSingular = errors.New("mat: matrix is singular to working precision")
 
-// LU holds an LU factorization with partial pivoting: P·A = L·U.
-// L (unit lower) and U (upper) are packed into a single matrix.
-type LU struct {
-	lu   *Dense
+// PLU holds an LU factorization with partial pivoting, P·A = L·U, over T.
+// L (unit lower) and U (upper) are packed into a single matrix. A PLU is
+// never written after factoring, so any number of goroutines may solve
+// against one concurrently.
+type PLU[T Scalar] struct {
+	lu   *Matrix[T]
 	piv  []int // row i of the factor came from row piv[i] of A
 	sign int   // parity of the permutation, ±1
 }
 
+// LU is a real factorization, CLU a complex one.
+type (
+	LU  = PLU[float64]
+	CLU = PLU[complex128]
+)
+
 // LUFactor computes the LU factorization of the square matrix a with
 // partial pivoting. The input is not modified.
-func LUFactor(a *Dense) (*LU, error) {
-	return luFactor(a.Clone())
-}
+func LUFactor(a *Dense) (*LU, error) { return luFactor(a.Clone()) }
 
 // LUFactorInPlace is LUFactor without the defensive copy: the input is
 // overwritten with the factors and owned by the returned LU. Use it when a
 // is a freshly built scratch matrix (e.g. the half path's real per-shift
 // SMW capacitance).
-func LUFactorInPlace(a *Dense) (*LU, error) {
-	return luFactor(a)
-}
+func LUFactorInPlace(a *Dense) (*LU, error) { return luFactor(a) }
 
-func luFactor(lu *Dense) (*LU, error) {
+// CLUFactor computes the LU factorization of the square complex matrix a
+// with partial pivoting. The input is not modified.
+func CLUFactor(a *CDense) (*CLU, error) { return luFactor(a.Clone()) }
+
+// CLUFactorInPlace is CLUFactor without the defensive copy: the input is
+// overwritten with the factors and owned by the returned CLU. Use it when a
+// is a freshly built scratch matrix (e.g. the per-shift SMW capacitance).
+func CLUFactorInPlace(a *CDense) (*CLU, error) { return luFactor(a) }
+
+// Inverse returns A⁻¹ for the square matrix a.
+func Inverse(a *Dense) (*Dense, error) { return inverse(a) }
+
+// CInverse returns A⁻¹ for the square complex matrix a.
+func CInverse(a *CDense) (*CDense, error) { return inverse(a) }
+
+func luFactor[T Scalar](lu *Matrix[T]) (*PLU[T], error) {
 	if lu.Rows != lu.Cols {
 		panic(fmt.Sprintf("mat: LU of non-square %d×%d matrix", lu.Rows, lu.Cols))
 	}
+	abs := absFunc[T]()
 	n := lu.Rows
 	piv := make([]int, n)
 	for i := range piv {
@@ -45,9 +64,9 @@ func luFactor(lu *Dense) (*LU, error) {
 	for k := 0; k < n; k++ {
 		// Pivot search.
 		p := k
-		mx := math.Abs(lu.At(k, k))
+		mx := abs(lu.At(k, k))
 		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu.At(i, k)); a > mx {
+			if a := abs(lu.At(i, k)); a > mx {
 				mx, p = a, i
 			}
 		}
@@ -77,48 +96,36 @@ func luFactor(lu *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &PLU[T]{lu: lu, piv: piv, sign: sign}, nil
+}
+
+func inverse[T Scalar](a *Matrix[T]) (*Matrix[T], error) {
+	f, err := luFactor(a.Clone())
+	if err != nil {
+		return nil, err
+	}
+	return f.SolveMat(eye[T](a.Rows)), nil
 }
 
 // Solve solves A·x = b and returns x.
-func (f *LU) Solve(b []float64) []float64 {
+func (f *PLU[T]) Solve(b []T) []T {
 	n := f.lu.Rows
 	if len(b) != n {
 		panic(fmt.Sprintf("mat: LU solve dimension mismatch %d vs %d", len(b), n))
 	}
-	x := make([]float64, n)
-	// Apply permutation.
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	// Forward substitution with unit-lower L.
-	for i := 1; i < n; i++ {
-		ri := f.lu.Row(i)
-		var s float64
-		for j := 0; j < i; j++ {
-			s += ri[j] * x[j]
-		}
-		x[i] -= s
-	}
-	// Back substitution with U.
-	for i := n - 1; i >= 0; i-- {
-		ri := f.lu.Row(i)
-		var s float64
-		for j := i + 1; j < n; j++ {
-			s += ri[j] * x[j]
-		}
-		x[i] = (x[i] - s) / ri[i]
-	}
+	// x doubles as the gather buffer: it does not alias b.
+	x := make([]T, n)
+	f.SolveIntoScratch(x, b, x)
 	return x
 }
 
 // SolveIntoScratch solves A·x = b, writing the solution into dst (len n)
 // with a caller-provided permutation gather buffer (len ≥ n). dst and b may
 // alias. It only reads the factorization, so any number of goroutines may
-// solve against the same LU concurrently as long as each brings its own
-// scratch; the half path's shift-invert operator passes its pooled apply
-// scratch, so its solves never allocate.
-func (f *LU) SolveIntoScratch(dst, b, scratch []float64) {
+// solve against the same PLU concurrently as long as each brings its own
+// scratch; the shift-invert operators pass their apply scratch, so their
+// solves never allocate.
+func (f *PLU[T]) SolveIntoScratch(dst, b, scratch []T) {
 	n := f.lu.Rows
 	if len(b) != n || len(dst) != n || len(scratch) < n {
 		panic("mat: LU SolveIntoScratch dimension mismatch")
@@ -129,17 +136,19 @@ func (f *LU) SolveIntoScratch(dst, b, scratch []float64) {
 		tmp[i] = b[f.piv[i]]
 	}
 	copy(dst, tmp)
+	// Forward substitution with unit-lower L.
 	for i := 1; i < n; i++ {
 		ri := f.lu.Row(i)
-		var s float64
+		var s T
 		for j := 0; j < i; j++ {
 			s += ri[j] * dst[j]
 		}
 		dst[i] -= s
 	}
+	// Back substitution with U.
 	for i := n - 1; i >= 0; i-- {
 		ri := f.lu.Row(i)
-		var s float64
+		var s T
 		for j := i + 1; j < n; j++ {
 			s += ri[j] * dst[j]
 		}
@@ -148,13 +157,13 @@ func (f *LU) SolveIntoScratch(dst, b, scratch []float64) {
 }
 
 // SolveMat solves A·X = B column-by-column and returns X.
-func (f *LU) SolveMat(b *Dense) *Dense {
+func (f *PLU[T]) SolveMat(b *Matrix[T]) *Matrix[T] {
 	n := f.lu.Rows
 	if b.Rows != n {
 		panic(fmt.Sprintf("mat: LU solve dimension mismatch %d vs %d", b.Rows, n))
 	}
-	x := NewDense(n, b.Cols)
-	col := make([]float64, n)
+	x := newMatrix[T](n, b.Cols)
+	col := make([]T, n)
 	for j := 0; j < b.Cols; j++ {
 		for i := 0; i < n; i++ {
 			col[i] = b.At(i, j)
@@ -168,29 +177,13 @@ func (f *LU) SolveMat(b *Dense) *Dense {
 }
 
 // Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
+func (f *PLU[T]) Det() T {
+	d := T(1)
+	if f.sign < 0 {
+		d = T(-1)
+	}
+	for i := 0; i < f.lu.Rows; i++ {
 		d *= f.lu.At(i, i)
 	}
 	return d
-}
-
-// Inverse returns A⁻¹ for the square matrix a.
-func Inverse(a *Dense) (*Dense, error) {
-	f, err := LUFactor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMat(Eye(a.Rows)), nil
-}
-
-// SolveDense solves A·X = B directly (convenience wrapper).
-func SolveDense(a, b *Dense) (*Dense, error) {
-	f, err := LUFactor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMat(b), nil
 }

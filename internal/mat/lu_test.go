@@ -68,22 +68,6 @@ func TestInverseProperty(t *testing.T) {
 	}
 }
 
-func TestSolveDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randDense(rng, 6, 6)
-	for i := 0; i < 6; i++ {
-		a.Set(i, i, a.At(i, i)+6)
-	}
-	b := randDense(rng, 6, 3)
-	x, err := SolveDense(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Mul(x).Equalish(b, 1e-10) {
-		t.Fatal("SolveDense residual too large")
-	}
-}
-
 func TestCLUSolveRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{1, 2, 3, 8, 30} {
@@ -120,10 +104,10 @@ func TestCLUSolveIntoAliasing(t *testing.T) {
 	}
 	want := f.Solve(b)
 	got := append([]complex128(nil), b...)
-	f.SolveInto(got, got) // aliased
+	f.SolveIntoScratch(got, got, make([]complex128, n)) // aliased
 	for i := range want {
 		if cmplx.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("aliased SolveInto mismatch at %d", i)
+			t.Fatalf("aliased SolveIntoScratch mismatch at %d", i)
 		}
 	}
 }

@@ -231,19 +231,3 @@ func Norm2Mat(a *Dense) (float64, error) {
 	}
 	return s[0], nil
 }
-
-// Cond2 returns the 2-norm condition number σ_max/σ_min of a square matrix.
-func Cond2(a *Dense) (float64, error) {
-	s, err := SingularValues(a.ToComplex())
-	if err != nil {
-		return 0, err
-	}
-	if len(s) == 0 {
-		return 0, nil
-	}
-	smin := s[len(s)-1]
-	if smin == 0 {
-		return math.Inf(1), nil
-	}
-	return s[0] / smin, nil
-}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -88,6 +89,29 @@ func sequentialFit(t *testing.T, samples []Sample, order int, opts Options) *Res
 	return &Result{Model: model, RMSError: math.Sqrt(ss / float64(cnt)), Iterations: iters}
 }
 
+// referenceFits holds sequentialFit of fitterSamples(t, 3) at order 8 per
+// mode (keyed by Options.Relaxed). Each costs seconds under -race, so the
+// tests that compare against it share one per test process.
+var referenceFits struct {
+	sync.Mutex
+	byMode map[bool]*Result
+}
+
+func referenceFit(t *testing.T, relaxed bool) *Result {
+	t.Helper()
+	referenceFits.Lock()
+	defer referenceFits.Unlock()
+	if ref, ok := referenceFits.byMode[relaxed]; ok {
+		return ref
+	}
+	ref := sequentialFit(t, fitterSamples(t, 3), 8, Options{Relaxed: relaxed})
+	if referenceFits.byMode == nil {
+		referenceFits.byMode = map[bool]*Result{}
+	}
+	referenceFits.byMode[relaxed] = ref
+	return ref
+}
+
 func requireSameFit(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if got.RMSError != want.RMSError {
@@ -108,7 +132,7 @@ func TestFitPoolRoutedBitIdentical(t *testing.T) {
 	for _, relaxed := range []bool{false, true} {
 		samples := fitterSamples(t, 3)
 		opts := Options{Relaxed: relaxed}
-		ref := sequentialFit(t, samples, 8, opts)
+		ref := referenceFit(t, relaxed)
 		for _, threads := range []int{1, 2, 8} {
 			o := opts
 			o.Threads = threads
@@ -129,7 +153,7 @@ func TestFitSharedPoolClient(t *testing.T) {
 	p := core.NewPool(2)
 	defer p.Close()
 	samples := fitterSamples(t, 3)
-	ref := sequentialFit(t, samples, 8, Options{})
+	ref := referenceFit(t, false)
 	got, err := Fit(samples, 8, Options{Client: p.NewClient(core.ClientOptions{})})
 	if err != nil {
 		t.Fatal(err)
